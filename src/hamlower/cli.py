@@ -130,6 +130,7 @@ def cmd_verify(args) -> int:
     report.add("tolerance-factor", ver.tolerance_factor)
     report.add("spins", plan.num_spins)
     report.add("heisenberg-couplings", len(plan.heisenberg))
+    report.add("floor", ver.floor)
     report.spectrum("source", ver.source_spectrum)
     report.spectrum("compiled", ver.compiled_low)
     report.stage("low-spectrum", ver.tolerance, ver.measured, ver.passed)

@@ -199,8 +199,12 @@ class SpinHamiltonian:
         return f"SpinHamiltonian(num_spins={self.num_spins}, terms={len(self.terms)})"
 
 
-def _term_masks(term: PauliTerm, num_spins: int):
-    """Bit masks describing one Pauli string: (flip, phase_bits, n_y)."""
+def _term_action(term: PauliTerm, num_spins: int, cols: np.ndarray):
+    """Where one Pauli string sends each basis column, and with what weight.
+
+    Column ``c`` maps to row ``rows[c]`` with amplitude ``phase[c]``; ``cols``
+    is ``arange(2**num_spins)`` as uint64.
+    """
     flip = 0
     phase_bits = 0
     n_y = 0
@@ -212,7 +216,10 @@ def _term_masks(term: PauliTerm, num_spins: int):
             phase_bits |= bit
         if axis == "Y":
             n_y += 1
-    return flip, phase_bits, n_y
+    rows = cols ^ np.uint64(flip)
+    par = np.bitwise_count(cols & np.uint64(phase_bits)).astype(np.int64)
+    phase = term.coefficient * (1.0j ** n_y) * np.where(par & 1, -1.0, 1.0)
+    return rows, phase
 
 
 def realize_spin(h: SpinHamiltonian, num_spins=None) -> np.ndarray:
@@ -233,10 +240,7 @@ def realize_spin(h: SpinHamiltonian, num_spins=None) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim, dtype=np.uint64)
     for term in h.terms:
-        flip, phase_bits, n_y = _term_masks(term, n)
-        rows = cols ^ np.uint64(flip)
-        par = np.bitwise_count(cols & np.uint64(phase_bits)).astype(np.int64)
-        phase = term.coefficient * (1.0j ** n_y) * np.where(par & 1, -1.0, 1.0)
+        rows, phase = _term_action(term, n, cols)
         out[rows, cols] += phase
     return out
 
@@ -250,10 +254,7 @@ def apply_spin(h: SpinHamiltonian, vec: np.ndarray, num_spins=None) -> np.ndarra
     cols = np.arange(dim, dtype=np.uint64)
     out = np.zeros(dim, dtype=complex)
     for term in h.terms:
-        flip, phase_bits, n_y = _term_masks(term, n)
-        rows = cols ^ np.uint64(flip)
-        par = np.bitwise_count(cols & np.uint64(phase_bits)).astype(np.int64)
-        phase = term.coefficient * (1.0j ** n_y) * np.where(par & 1, -1.0, 1.0)
+        rows, phase = _term_action(term, n, cols)
         out[rows] += phase * vec
     return out
 
@@ -266,23 +267,82 @@ class Spectrum:
     vectors: np.ndarray
 
 
-def eig_hermitian(matrix: np.ndarray) -> Spectrum:
-    """Full eigendecomposition with an explicit Hermiticity check."""
+def _checked_hermitian(matrix) -> np.ndarray:
+    """``matrix`` as an array, after checking it is square and Hermitian."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
     scale = max(1.0, float(np.abs(matrix).max()))
     if np.abs(matrix - matrix.conj().T).max() > 1e-10 * scale:
         raise ValidationError("matrix is not Hermitian within tolerance")
-    values, vectors = np.linalg.eigh(matrix)
+    return matrix
+
+
+def eig_hermitian(matrix: np.ndarray) -> Spectrum:
+    """Full eigendecomposition with an explicit Hermiticity check."""
+    values, vectors = np.linalg.eigh(_checked_hermitian(matrix))
     return Spectrum(values, vectors)
 
 
+def spin_components(h: SpinHamiltonian):
+    """Connected components of the interaction graph of ``h``.
+
+    Two sites are connected when a term acts on both.  Returns ascending
+    site lists ordered by their lowest site; a site no term touches forms a
+    component of its own.
+    """
+    parent = list(range(h.num_spins))
+
+    def root(site):
+        while parent[site] != site:
+            parent[site] = parent[parent[site]]
+            site = parent[site]
+        return site
+
+    for t in h.terms:
+        sites = [s for s, _ in t.factors]
+        for site in sites[1:]:
+            parent[root(site)] = root(sites[0])
+    groups = {}
+    for site in range(h.num_spins):
+        groups.setdefault(root(site), []).append(site)
+    return list(groups.values())
+
+
 def low_spectrum(h: SpinHamiltonian, k: int) -> np.ndarray:
-    """Lowest ``k`` eigenvalues; dense below the limit, Lanczos above it."""
+    """Lowest ``min(k, 2**num_spins)`` eigenvalues of ``h``, ascending.
+
+    ``h`` is split into the connected components of its interaction graph
+    (``spin_components``), which act on separate tensor factors.  Each
+    component is relabelled onto its own sites and solved alone for its
+    lowest ``k`` eigenvalues: values-only dense diagonalization up to the
+    dense limit, Lanczos above it.  The spectra are merged as a Kronecker
+    sum, keeping the lowest ``k`` at each step, and the constant is added
+    once.
+    """
+    components = spin_components(h)
+    local = {}
+    for index, sites in enumerate(components):
+        for position, site in enumerate(sites):
+            local[site] = (index, position)
+    blocks = [[] for _ in components]
+    for t in h.terms:
+        if t.factors:
+            index = local[t.factors[0][0]][0]
+            blocks[index].append(
+                PauliTerm(t.coefficient, [(local[s][1], a) for s, a in t.factors]))
+    low = np.zeros(1)
+    for sites, terms in zip(components, blocks):
+        vals = _block_low_spectrum(SpinHamiltonian(len(sites), terms), k)
+        low = np.sort(np.add.outer(low, vals).ravel())[:k]
+    return low + h.constant()
+
+
+def _block_low_spectrum(h: SpinHamiltonian, k: int) -> np.ndarray:
+    """Lowest ``min(k, 2**num_spins)`` eigenvalues of one component."""
     n = h.num_spins
     if n <= dense_spin_limit():
-        return eig_hermitian(realize_spin(h)).values[:k]
+        return np.linalg.eigvalsh(_checked_hermitian(realize_spin(h)))[:k]
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     dim = 1 << n

@@ -123,6 +123,24 @@ class TestVerify:
         assert stage.startswith("low-spectrum")
         assert stage.endswith("pass")
 
+    def test_report_states_float_floor_below_tolerance(self, plan_file, capsys):
+        _, report, _ = run(["verify", str(plan_file)], capsys)
+        floor = float(field(report, "floor"))
+        tolerance = float(field(report, "stage").split()[2])
+        assert 0 < floor < tolerance
+
+    def test_disjoint_couplings_verify(self, tmp_path, capsys):
+        src = tmp_path / "src.txt"
+        src.write_text("spins 4\n0.5 X@0 Y@1\n-0.3 Z@2 X@3\n")
+        out = tmp_path / "plan.txt"
+        assert main(["compile", str(src), "--precision", "0.5",
+                     "--output", str(out)]) == 0
+        capsys.readouterr()
+        code, report, _ = run(["verify", str(out)], capsys)
+        assert code == 0
+        assert field(report, "spins") == "18"
+        assert field(report, "result") == "pass"
+
     def test_tight_tolerance_fails_with_exit_one(self, plan_file, capsys):
         code, report, _ = run(
             ["verify", str(plan_file), "--tolerance-factor", "1e-12"],

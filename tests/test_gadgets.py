@@ -51,6 +51,7 @@ from hamlower.operators import (
     SpinHamiltonian,
     eig_hermitian,
     realize_spin,
+    spin_components,
 )
 
 angles = st.floats(min_value=0.0, max_value=math.pi / 2)
@@ -485,6 +486,36 @@ class TestVerifyPlan:
         report = verify_plan(gadgets.compile(src, 0.1))
         assert report.passed
         assert report.measured <= 1e-12
+
+    def test_disjoint_couplings_verify_by_component(self):
+        src = SpinHamiltonian(4, [PauliTerm(0.5, [(0, "X"), (1, "Y")]),
+                                  PauliTerm(-0.3, [(2, "Z"), (3, "X")])])
+        plan = gadgets.compile(src, 0.5)
+        assert plan.num_spins == 18
+        report = verify_plan(plan)
+        assert report.passed
+        assert report.source_spectrum.shape == (16,)
+
+    def test_dense_limit_applies_per_component(self, monkeypatch):
+        src = SpinHamiltonian(3, [PauliTerm(0.5, [(0, "X"), (1, "Y")]),
+                                  PauliTerm(0.3, [(2, "Z")])])
+        plan = gadgets.compile(src, 0.5)
+        assert plan.num_spins == 10
+        monkeypatch.setenv("HAMLOWER_DENSE_LIMIT", "9")
+        assert verify_plan(plan).passed
+        monkeypatch.setenv("HAMLOWER_DENSE_LIMIT", "8")
+        with pytest.raises(ResourceLimitError, match="component of 9 spins"):
+            verify_plan(plan)
+
+    def test_oversized_field_only_source_refuses_verification(self, monkeypatch):
+        # Fields compile unchanged, so every compiled component is one spin;
+        # the source size alone must stop the 2^15-value spectrum merge.
+        monkeypatch.delenv("HAMLOWER_DENSE_LIMIT", raising=False)
+        src = SpinHamiltonian(15, [PauliTerm(0.1, [(i, "Z")]) for i in range(15)])
+        plan = gadgets.compile(src, 0.5)
+        assert max(len(c) for c in spin_components(plan.compiled)) == 1
+        with pytest.raises(ResourceLimitError, match="source system has 15 spins"):
+            verify_plan(plan)
 
     def test_oversized_plan_refuses_dense_verification(self):
         plan = gadgets.compile(

@@ -26,6 +26,7 @@ from hamlower.operators import (
     realize_fermion,
     realize_spin,
     singly_occupied_projector,
+    spin_components,
     spin_from_text,
     spin_to_text,
 )
@@ -136,6 +137,30 @@ class TestLowSpectrum:
         monkeypatch.setenv("HAMLOWER_DENSE_LIMIT", "3")
         lanczos = low_spectrum(h, 3)
         assert np.allclose(dense, lanczos, atol=1e-8)
+
+    @pytest.mark.parametrize("k", [3, 20, 100])
+    def test_components_merge_to_whole_spectrum(self, k):
+        # Coupled blocks {0, 3} and {1, 2, 5}, untouched site 4, a constant.
+        # k = 3 is below the smaller coupled block's dimension, 20 above it,
+        # and 100 above the whole dimension of 64.
+        terms = [PauliTerm(0.7, [(0, "X"), (3, "Y")]),
+                 PauliTerm(-0.4, [(0, "Z")]),
+                 PauliTerm(1.1, [(1, "Z"), (2, "Z")]),
+                 PauliTerm(0.6, [(2, "X"), (5, "X")]),
+                 PauliTerm(-0.2, [(5, "Y")]),
+                 PauliTerm(0.35, [])]
+        h = SpinHamiltonian(6, terms)
+        assert spin_components(h) == [[0, 3], [1, 2, 5], [4]]
+        expected = np.linalg.eigvalsh(realize_spin(h))[:k]
+        low = low_spectrum(h, k)
+        assert low.shape == expected.shape
+        assert np.allclose(low, expected, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spin_hamiltonians(max_spins=4), st.integers(1, 20))
+    def test_matches_dense_eigenvalues(self, h, k):
+        expected = np.linalg.eigvalsh(realize_spin(h))[:k]
+        assert np.allclose(low_spectrum(h, k), expected, atol=1e-10)
 
 
 class TestPauliAlgebra:
