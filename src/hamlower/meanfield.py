@@ -35,6 +35,7 @@ from .operators import (
     FockSector,
     _strip_lines,
     eig_hermitian,
+    eig_values,
     realize_fermion,
 )
 
@@ -114,7 +115,7 @@ def exact_ground_energy(ham: SecondQuantizedHamiltonian, num_particles: int) -> 
             f"sector dimension {sector.dimension} exceeds the exact cap "
             f"{MAX_EXACT_DIMENSION}")
     matrix = realize_fermion(fermionic_operator(ham), sector)
-    return float(eig_hermitian(matrix).values[0])
+    return float(eig_values(matrix)[0])
 
 
 class SlaterState:

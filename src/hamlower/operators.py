@@ -284,6 +284,11 @@ def eig_hermitian(matrix: np.ndarray) -> Spectrum:
     return Spectrum(values, vectors)
 
 
+def eig_values(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues only, with the same Hermiticity check."""
+    return np.linalg.eigvalsh(_checked_hermitian(matrix))
+
+
 def spin_components(h: SpinHamiltonian):
     """Connected components of the interaction graph of ``h``.
 
@@ -342,7 +347,7 @@ def _block_low_spectrum(h: SpinHamiltonian, k: int) -> np.ndarray:
     """Lowest ``min(k, 2**num_spins)`` eigenvalues of one component."""
     n = h.num_spins
     if n <= dense_spin_limit():
-        return np.linalg.eigvalsh(_checked_hermitian(realize_spin(h)))[:k]
+        return eig_values(realize_spin(h))[:k]
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     dim = 1 << n
@@ -497,48 +502,41 @@ class FockSector:
         return "".join(str(b) for b in self.occupations(state))
 
 
-def _apply_monomial(mono, state: int, num_modes: int):
-    """Apply a monomial to a basis integer; returns (sign, state) or (0, None)."""
-    sign = 1
-    for mode, dagger in reversed(mono):
-        pos = num_modes - 1 - mode
-        bit = 1 << pos
-        occupied = state & bit
-        if dagger:
-            if occupied:
-                return 0, None
-            if (state >> (pos + 1)).bit_count() & 1:
-                sign = -sign
-            state |= bit
-        else:
-            if not occupied:
-                return 0, None
-            if (state >> (pos + 1)).bit_count() & 1:
-                sign = -sign
-            state &= ~bit
-    return sign, state
-
-
 def realize_fermion(op: FermionOperator, sector: FockSector) -> np.ndarray:
-    """Matrix of ``op`` on the sector basis (complex; Hermitian iff op is)."""
+    """Matrix of ``op`` on the sector basis (complex; Hermitian iff op is).
+
+    Each monomial acts on every sector state at once: operators apply right
+    to left, a creation on an occupied mode or an annihilation on an empty
+    one drops the state, each step's sign is the parity of the occupied
+    modes to its left, and a result outside the sector is dropped.
+    """
     if op.num_modes > sector.num_modes:
         raise ValidationError(
             f"operator on {op.num_modes} modes, sector has {sector.num_modes}")
     dim = sector.dimension
+    num_modes = sector.num_modes
     out = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    states = np.array(sector.states, dtype=np.int64)
+    # sector.states is descending; searchsorted needs it ascending
+    ascending = states[::-1]
     for coeff, mono in op.terms:
         if not mono:
             out[np.diag_indices(dim)] += coeff
             continue
-        for col, state in enumerate(sector.states):
-            sign, new_state = _apply_monomial(mono, state, sector.num_modes)
-            if new_state is None:
-                continue
-            row = sector.index.get(new_state)
-            if row is None:
-                # particle number changed; outside this sector
-                continue
-            out[row, col] += coeff * sign
+        state = states.copy()
+        alive = np.ones(dim, dtype=bool)
+        odd = np.zeros(dim, dtype=np.uint8)
+        for mode, dagger in reversed(mono):
+            pos = num_modes - 1 - mode
+            occupied = (state >> pos) & 1
+            alive &= occupied == (0 if dagger else 1)
+            odd ^= np.bitwise_count(state >> (pos + 1))
+            state ^= 1 << pos
+        found = np.minimum(np.searchsorted(ascending, state), dim - 1)
+        alive &= ascending[found] == state
+        rows = dim - 1 - found[alive]
+        out[rows, cols[alive]] += coeff * np.where(odd[alive] & 1, -1.0, 1.0)
     return out
 
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import DegeneracyError, RegimeError, ValidationError
-from .operators import eig_hermitian
+from .operators import eig_hermitian, eig_values
 
 # An eigenvalue this close (relative to the spectral scale) to the threshold
 # means the split would cut through a near-degenerate multiplet.
@@ -65,6 +66,15 @@ def _block_stats(low_vals, high_vals):
     return gap, e_bar, spread
 
 
+def _complement(low: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of orthonormal ``low``.
+
+    The columns are orthonormal, so their rank is exactly ``k`` and the last
+    ``dim - k`` columns of a complete QR factor span the complement.
+    """
+    return np.linalg.qr(low, mode="complete")[0][:, low.shape[1]:]
+
+
 def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
     """Select the low block of ``h0`` by energy threshold or explicit columns.
 
@@ -72,14 +82,14 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
     ``threshold`` and refuses to cut within ``DEGENERACY_RTOL`` (relative to
     the spectral scale) of any eigenvalue.  The column path checks the given
     columns are orthonormal and span an invariant subspace lying strictly
-    below its complement.
+    below its complement; it needs eigenvalues only.
     """
     h0 = np.asarray(h0, dtype=complex)
-    spec = eig_hermitian(h0)
-    scale = max(1.0, float(np.abs(spec.values).max()))
     if (threshold is None) == (low_columns is None):
         raise ValidationError("pass exactly one of threshold or low_columns")
     if threshold is not None:
+        spec = eig_hermitian(h0)
+        scale = max(1.0, float(np.abs(spec.values).max()))
         t = float(threshold)
         if not math.isfinite(t):
             raise ValidationError(f"threshold must be finite, got {threshold!r}")
@@ -98,6 +108,7 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
         h0_low = np.diag(low_vals).astype(complex)
         h0_high = np.diag(high_vals).astype(complex)
     else:
+        scale = max(1.0, float(np.abs(eig_values(h0)).max()))
         low = np.asarray(low_columns, dtype=complex)
         if low.ndim != 2 or low.shape[0] != h0.shape[0]:
             raise ValidationError(
@@ -106,15 +117,15 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
             raise ValidationError("low_columns must span a proper nonzero subspace")
         if np.abs(low.conj().T @ low - np.eye(low.shape[1])).max() > 1e-10:
             raise ValidationError("low_columns must be orthonormal")
-        high = null_space(low.conj().T)
-        cross = high.conj().T @ h0 @ low
+        high = _complement(low)
+        cross = high.conj().T @ (h0 @ low)
         if np.abs(cross).max() > BLOCK_RTOL * scale:
             raise ValidationError(
                 "low_columns do not span an invariant subspace of h0")
         h0_low = low.conj().T @ h0 @ low
         h0_high = high.conj().T @ h0 @ high
-        low_vals = eig_hermitian(h0_low).values
-        high_vals = eig_hermitian(h0_high).values
+        low_vals = eig_values(h0_low)
+        high_vals = eig_values(h0_high)
     gap, e_bar, spread = _block_stats(low_vals, high_vals)
     return BlockSplit(low, high, h0_low, h0_high, gap, e_bar, spread)
 
@@ -126,7 +137,8 @@ class SWResult:
     ``h_eff`` lives on ``split.low_projector``; ``generator`` is the
     full-dimension anti-Hermitian matrix S such that
     exp(S) (H0 + eps V) exp(-S) has an off-diagonal block one order beyond
-    ``order``.  ``error_budget`` is an order-of-magnitude certificate for
+    ``order``.  It is built on first access, since most callers read only
+    ``h_eff``.  ``error_budget`` is an order-of-magnitude certificate for
     the eigenvalue error of ``h_eff``, not a rigorous bound.
     """
 
@@ -134,13 +146,17 @@ class SWResult:
     epsilon: float
     order: int
     h_eff: np.ndarray
-    generator: np.ndarray
     v_norm: float
     error_budget: float
+    _build_generator: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        return self._build_generator()
 
 
-def _split_ingredients(h, v, split):
-    """Blocks of h and v on the split basis, with the block-diagonal check."""
+def _checked_pair(h, v):
+    """``h`` and ``v`` as complex arrays of one shape, ``v`` Hermitian."""
     h = np.asarray(h, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if v.shape != h.shape:
@@ -148,36 +164,65 @@ def _split_ingredients(h, v, split):
     vscale = max(1.0, float(np.abs(v).max()))
     if np.abs(v - v.conj().T).max() > 1e-10 * vscale:
         raise ValidationError("v is not Hermitian within tolerance")
+    return h, v
+
+
+def _check_block_diagonal(h, split):
     low, high = split.low_projector, split.high_projector
     hscale = max(1.0, float(np.abs(h).max()))
-    cross = high.conj().T @ h @ low
+    cross = high.conj().T @ (h @ low)
     if np.abs(cross).max() > BLOCK_RTOL * hscale:
         raise ValidationError("h is not block diagonal in the split basis")
+
+
+def _split_ingredients(h, split):
+    """Blocks of ``h`` on a caller-supplied split, with their stats.
+
+    Checks that ``h`` is block diagonal in the split basis; returns
+    ``(h_low, h_high, gap, e_bar, spread)``.
+    """
+    _check_block_diagonal(h, split)
+    low, high = split.low_projector, split.high_projector
     h_low = low.conj().T @ h @ low
     h_high = high.conj().T @ h @ high
-    low_vals = eig_hermitian(h_low).values
-    high_vals = eig_hermitian(h_high).values
-    gap, e_bar, spread = _block_stats(low_vals, high_vals)
-    v00 = low.conj().T @ v @ low
+    gap, e_bar, spread = _block_stats(eig_values(h_low), eig_values(h_high))
+    return h_low, h_high, gap, e_bar, spread
+
+
+def _right_inverse(m, hc):
+    """``m @ inv(hc)`` for Hermitian ``hc``, by a linear solve."""
+    return np.linalg.solve(hc, m.conj().T).conj().T
+
+
+def _x_blocks(split, h_low, h_high, e_bar, v, order):
+    """X1 = -V01 A and, at order 2, X2 = (V01 A V11 - (H0 + V00) V01 A) A.
+
+    ``A`` inverts the centered high block and ``H0`` is the centered low
+    block; X2 is zero at order 1.
+    """
+    low, high = split.low_projector, split.high_projector
+    hc = h_high - e_bar * np.eye(high.shape[1])
     v01 = low.conj().T @ v @ high
-    v11 = high.conj().T @ v @ high
-    a = np.linalg.inv(h_high - e_bar * np.eye(high.shape[1]))
+    y = _right_inverse(v01, hc)
+    if order == 1:
+        return -y, np.zeros_like(y)
     h0c = h_low - e_bar * np.eye(low.shape[1])
-    return h_low, h0c, a, v00, v01, v11, gap, spread
+    v00 = low.conj().T @ v @ low
+    v11 = high.conj().T @ v @ high
+    return -y, _right_inverse(y @ v11 - (h0c + v00) @ y, hc)
 
 
 def generator_blocks(h, v, split: BlockSplit):
-    """Generator blocks (X1, X2) for the decoupling rotation.
+    """Second-order generator blocks (X1, X2) for the decoupling rotation.
 
     X1 = -V01 H1inv and X2 = -H0 V01 H1inv**2 + V01 H1inv V1 H1inv
     - V0 V01 H1inv**2, where H1inv inverts the centered high block and H0
     is the centered low block.  The full generator for a given eps is
     assembled by ``assemble_generator``.
     """
-    _, h0c, a, v00, v01, v11, _, _ = _split_ingredients(h, v, split)
-    x1 = -v01 @ a
-    x2 = -h0c @ v01 @ a @ a + v01 @ a @ v11 @ a - v00 @ v01 @ a @ a
-    return x1, x2
+    h, v = _checked_pair(h, v)
+    h_low, h_high, _, e_bar, _ = _split_ingredients(h, split)
+    return _x_blocks(split, h_low, h_high, e_bar, v, 2)
 
 
 def assemble_generator(split: BlockSplit, x1, x2, epsilon) -> np.ndarray:
@@ -193,17 +238,22 @@ def assemble_generator(split: BlockSplit, x1, x2, epsilon) -> np.ndarray:
     return basis @ s_block @ basis.conj().T
 
 
+def _lazy_generator(split, h_low, h_high, e_bar, v, epsilon, order):
+    x1, x2 = _x_blocks(split, h_low, h_high, e_bar, v, order)
+    return assemble_generator(split, x1, x2, epsilon)
+
+
 def effective_hamiltonian(h, v, epsilon, *, order=2, split=None,
                           threshold=None, low_columns=None) -> SWResult:
     """Effective low-block Hamiltonian of ``h + epsilon * v``.
 
     The low block comes from ``split`` if given, otherwise from
-    ``split_blocks`` with the remaining selector.  Order 1 keeps
-    ``H0 + eps V00``; order 2 adds the virtual-excitation term.  Raises
-    ``RegimeError`` unless ``epsilon * |v| < gap / 2``.
+    ``split_blocks`` with the remaining selector, whose blocks and stats are
+    then reused.  Order 1 keeps ``H0 + eps V00``; order 2 adds the
+    virtual-excitation term.  Raises ``RegimeError`` unless
+    ``epsilon * |v| < gap / 2``.
     """
-    h = np.asarray(h, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    h, v = _checked_pair(h, v)
     epsilon = float(epsilon)
     if not math.isfinite(epsilon) or epsilon < 0:
         raise ValidationError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
@@ -211,10 +261,15 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, split=None,
         raise ValidationError(f"order must be 1 or 2, got {order!r}")
     if split is None:
         split = split_blocks(h, threshold=threshold, low_columns=low_columns)
+        _check_block_diagonal(h, split)
+        h_low, h_high = split.h0_low, split.h0_high
+        gap, e_bar, spread = split.gap, split.e_bar, split.spread
     elif threshold is not None or low_columns is not None:
         raise ValidationError("pass either split or a block selector, not both")
-    h_low, h0c, a, v00, v01, v11, gap, spread = _split_ingredients(h, v, split)
-    v_norm = float(np.linalg.norm(v, 2))
+    else:
+        h_low, h_high, gap, e_bar, spread = _split_ingredients(h, split)
+    # v is Hermitian, so its spectral norm is its largest |eigenvalue|
+    v_norm = float(np.abs(eig_values(v)).max())
     if epsilon * v_norm >= gap / 2:
         raise RegimeError(
             f"epsilon*|v| = {epsilon * v_norm:.3g} is not below "
@@ -224,17 +279,15 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, split=None,
             f"low-block spread {spread:.3g} exceeds gap/10 = {gap / 10:.3g}; "
             "second-order accuracy degrades",
             stacklevel=2)
-    h_eff = h_low + epsilon * v00
+    low, high = split.low_projector, split.high_projector
+    h_eff = h_low + epsilon * (low.conj().T @ v @ low)
     if order == 2:
-        h_eff = h_eff - epsilon ** 2 * (v01 @ a @ v01.conj().T)
+        v01 = low.conj().T @ v @ high
+        hc = h_high - e_bar * np.eye(high.shape[1])
+        h_eff = h_eff - epsilon ** 2 * (v01 @ np.linalg.solve(hc, v01.conj().T))
         error_budget = epsilon ** 3 * v_norm ** 3 / gap ** 2
     else:
         error_budget = epsilon ** 2 * v_norm ** 2 / gap
     h_eff = (h_eff + h_eff.conj().T) / 2
-    x1 = -v01 @ a
-    if order == 2:
-        x2 = -h0c @ v01 @ a @ a + v01 @ a @ v11 @ a - v00 @ v01 @ a @ a
-    else:
-        x2 = np.zeros_like(x1)
-    generator = assemble_generator(split, x1, x2, epsilon)
-    return SWResult(split, epsilon, order, h_eff, generator, v_norm, error_budget)
+    build = partial(_lazy_generator, split, h_low, h_high, e_bar, v, epsilon, order)
+    return SWResult(split, epsilon, order, h_eff, v_norm, error_budget, build)

@@ -6,10 +6,15 @@ here parse the rendered body rather than mock anything.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hamlower
 from hamlower.cli import main
 from hamlower.gadgets import plan_from_text
 from hamlower.hubbard import HubbardModel, hubbard_to_text
@@ -299,3 +304,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["compile", str(tmp_path / "x.txt")])
         assert excinfo.value.code == 2
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(hamlower.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, hamlower.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

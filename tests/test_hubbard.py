@@ -28,10 +28,16 @@ from hamlower.hubbard import (
     singlet_triplet_splitting,
     verify_exchange,
 )
+from hamlower import hubbard
 from hamlower.operators import (
+    AXES,
+    FermionOperator,
     PauliTerm,
     SpinHamiltonian,
+    default_site_modes,
     eig_hermitian,
+    fermion_from_monomial,
+    jordan_map_spin_to_fermion,
     realize_fermion,
     realize_spin,
 )
@@ -76,6 +82,52 @@ class TestModelValidation:
             build_hubbard(big)
         with pytest.raises(ResourceLimitError):
             half_filling_sector(big)
+
+
+def reference_hubbard(model):
+    """Hopping, repulsion and fields summed term by term, then normal ordered."""
+    modes = model.num_modes
+    out = FermionOperator(modes, [])
+    for i, j in model.edges:
+        for spin in (0, 1):
+            a = default_site_modes(i)[spin]
+            b = default_site_modes(j)[spin]
+            out = out + fermion_from_monomial(
+                modes, -model.t, ((a, True), (b, False)))
+            out = out + fermion_from_monomial(
+                modes, -model.t, ((b, True), (a, False)))
+    for site in range(model.sites):
+        up, down = default_site_modes(site)
+        out = out + fermion_from_monomial(
+            modes, model.u, ((up, True), (up, False), (down, True), (down, False)))
+    for site, row in enumerate(model.fields):
+        for axis, b in zip(AXES, row):
+            if b != 0.0:
+                out = out + jordan_map_spin_to_fermion(
+                    PauliTerm(b, [(site, axis)]), model.sites)
+    return out.normal_order()
+
+
+BUILD_MODELS = {
+    "ring": HubbardModel(4, 1.3, 140.0, ((0, 1), (1, 2), (2, 3), (3, 0))),
+    "chain": HubbardModel(3, 0.7, 80.0, ((0, 1), (1, 2))),
+    "xz-fields": HubbardModel(3, 1.0, 100.0, ((0, 1), (1, 2)),
+                              ((0.1, 0.0, -0.2), (0.0, 0.0, 0.3), (0.05, 0.0, 0.0))),
+    "xyz-fields": HubbardModel(3, 1.0, 100.0, ((0, 1), (1, 2), (2, 0)),
+                               ((0.1, 0.2, -0.3), (0.0, -0.1, 0.0), (0.3, 0.1, 0.2))),
+}
+
+
+class TestBuildHubbard:
+    @pytest.mark.parametrize("name", sorted(BUILD_MODELS))
+    def test_equals_term_by_term_build(self, name):
+        assert build_hubbard(BUILD_MODELS[name]) == reference_hubbard(BUILD_MODELS[name])
+
+    @pytest.mark.parametrize("name", sorted(BUILD_MODELS))
+    def test_text_is_byte_identical(self, name, monkeypatch):
+        text = hubbard_to_text(BUILD_MODELS[name])
+        monkeypatch.setattr(hubbard, "build_hubbard", reference_hubbard)
+        assert hubbard_to_text(BUILD_MODELS[name]) == text
 
 
 class TestExactSpectra:

@@ -39,7 +39,6 @@ from hamlower.meanfield import (
 )
 from hamlower.operators import (
     FockSector,
-    _apply_monomial,
     realize_fermion,
 )
 
@@ -68,11 +67,10 @@ def determinant_vector(orbitals):
     sector = FockSector(modes, particles)
     vec = np.zeros(sector.dimension, dtype=complex)
     for chosen in combinations(range(modes), particles):
-        mono = tuple((m, True) for m in chosen)
-        sign, state = _apply_monomial(mono, 0, modes)
-        if sign == 0:
-            continue
-        vec[sector.index[state]] += sign * np.linalg.det(orbitals[list(chosen), :])
+        # a+_c0 a+_c1 ... on the vacuum with c0 < c1 < ...: each creation
+        # passes only empty modes, so the sign is +1
+        state = sum(1 << (modes - 1 - m) for m in chosen)
+        vec[sector.index[state]] += np.linalg.det(orbitals[list(chosen), :])
     return sector, vec
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamlower.errors import ParseError, ResourceLimitError, ValidationError
@@ -300,10 +300,44 @@ def _fock_index(state: int, num_modes: int) -> int:
     return offset + FockSector(num_modes, n).index[state]
 
 
+def _reference_apply_monomial(mono, state: int, num_modes: int):
+    """Per-state reference: (sign, state) after the monomial, or (0, None)."""
+    sign = 1
+    for mode, dagger in reversed(mono):
+        pos = num_modes - 1 - mode
+        bit = 1 << pos
+        occupied = state & bit
+        if dagger:
+            if occupied:
+                return 0, None
+            if (state >> (pos + 1)).bit_count() & 1:
+                sign = -sign
+            state |= bit
+        else:
+            if not occupied:
+                return 0, None
+            if (state >> (pos + 1)).bit_count() & 1:
+                sign = -sign
+            state &= ~bit
+    return sign, state
+
+
+def _reference_realize_fermion(op: FermionOperator, sector: FockSector):
+    """Per-state, per-monomial loop over the sector basis."""
+    dim = sector.dimension
+    out = np.zeros((dim, dim), dtype=complex)
+    for coeff, mono in op.terms:
+        for col, state in enumerate(sector.states):
+            sign, new_state = _reference_apply_monomial(
+                mono, state, sector.num_modes)
+            row = sector.index.get(new_state)
+            if row is not None:
+                out[row, col] += coeff * sign
+    return out
+
+
 def _full_fock_matrix(op: FermionOperator, num_modes: int) -> np.ndarray:
     """Dense matrix on the whole Fock space, sectors stacked by particle count."""
-    from hamlower.operators import _apply_monomial
-
     dim = 2 ** num_modes
     out = np.zeros((dim, dim), dtype=complex)
     states = [s for k in range(num_modes + 1)
@@ -311,11 +345,44 @@ def _full_fock_matrix(op: FermionOperator, num_modes: int) -> np.ndarray:
     index = {s: i for i, s in enumerate(states)}
     for coeff, mono in op.terms:
         for state in states:
-            sign, new_state = _apply_monomial(mono, state, num_modes)
+            sign, new_state = _reference_apply_monomial(mono, state, num_modes)
             if new_state is None:
                 continue
             out[index[new_state], index[state]] += coeff * sign
     return out
+
+
+@st.composite
+def fermion_operators(draw):
+    num_modes = draw(st.integers(1, 6))
+    mode = st.integers(0, num_modes - 1)
+    monomial = st.lists(st.tuples(mode, st.booleans()), max_size=4)
+    part = st.floats(-2.0, 2.0, allow_nan=False)
+    coeff = st.builds(complex, part, part)
+    terms = draw(st.lists(st.tuples(coeff, monomial.map(tuple)), max_size=6))
+    return FermionOperator(num_modes, terms)
+
+
+class TestVectorizedRealization:
+    # create on an occupied mode, annihilate an empty one, leave the sector,
+    # a number operator with a complex weight, and a constant
+    EDGE_CASES = FermionOperator(3, [
+        (1.0, ((0, True), (0, True), (0, False))),
+        (0.5, ((2, False), (2, False))),
+        (-0.25, ((1, True),)),
+        (0.3 - 0.7j, ((1, True), (1, False))),
+        (2.0, ()),
+    ])
+
+    @given(op=fermion_operators())
+    @example(op=EDGE_CASES)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_state_reference(self, op):
+        for particles in range(op.num_modes + 1):
+            sector = FockSector(op.num_modes, particles)
+            got = realize_fermion(op, sector)
+            want = _reference_realize_fermion(op, sector)
+            assert np.array_equal(got, want)
 
 
 class TestSpinFermionMap:

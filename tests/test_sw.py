@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hamlower import sw
 from hamlower.errors import DegeneracyError, RegimeError, ValidationError
+from hamlower.hubbard import HubbardModel, verify_exchange
 from hamlower.sw import (
     assemble_generator,
     effective_hamiltonian,
@@ -155,6 +157,51 @@ class TestScaling:
         x1, x2 = generator_blocks(h0, v, result.split)
         rebuilt = assemble_generator(result.split, x1, x2, 0.05)
         assert np.allclose(rebuilt, s, atol=1e-12)
+
+
+class TestLazyGenerator:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_assembled_blocks(self, order):
+        rng = np.random.default_rng(23)
+        h0, v = gapped_instance(rng)
+        result = effective_hamiltonian(h0, v, 0.05, order=order, threshold=0.5)
+        x1, x2 = generator_blocks(h0, v, result.split)
+        if order == 1:
+            x2 = np.zeros_like(x2)
+        want = assemble_generator(result.split, x1, x2, 0.05)
+        assert np.allclose(result.generator, want, atol=1e-12)
+        assert result.generator is result.generator
+
+    def test_exchange_check_never_builds_it(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generator assembled")
+
+        monkeypatch.setattr(sw, "assemble_generator", refuse)
+        ring = HubbardModel(4, 1.0, 100.0, ((0, 1), (1, 2), (2, 3), (3, 0)))
+        assert verify_exchange(ring).passed
+
+    def test_columns_path_matches_inverse_projection(self):
+        rng = np.random.default_rng(31)
+        dim, k, eps = 10, 4, 0.05
+        u = haar_unitary(dim, rng)
+        e = np.concatenate([rng.uniform(0.0, 0.05, k),
+                            rng.uniform(2.0, 3.0, dim - k)])
+        h0 = (u * e) @ u.conj().T
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        v = (z + z.conj().T) / 2
+        v /= np.linalg.norm(v, 2)
+        # a rotated basis of the low space, so the low block is not diagonal
+        low = u[:, :k] @ haar_unitary(k, rng)
+        result = effective_hamiltonian(h0, v, eps, low_columns=low)
+        # complement from the eigenvectors of I - P with eigenvalue 1
+        _, vecs = np.linalg.eigh(np.eye(dim) - low @ low.conj().T)
+        high = vecs[:, k:]
+        h_low = low.conj().T @ h0 @ low
+        e_bar = np.trace(h_low).real / k
+        a = np.linalg.inv(high.conj().T @ h0 @ high - e_bar * np.eye(dim - k))
+        v01 = low.conj().T @ v @ high
+        want = h_low + eps * low.conj().T @ v @ low - eps ** 2 * v01 @ a @ v01.conj().T
+        assert np.abs(result.h_eff - want).max() <= 1e-12
 
 
 class TestShiftInvariance:
