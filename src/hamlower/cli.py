@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import HamlowerError, ParseError, ValidationError
+from .errors import HamlowerError, ValidationError
 from .gadgets import SAFETY, compile, plan_from_text, plan_to_text, verify_plan
 from .hubbard import hubbard_from_text, verify_exchange
 from .meanfield import (
@@ -272,13 +272,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HamlowerError as exc:

@@ -22,14 +22,17 @@ Sub-coupling strengths are emitted *down-scaled* so that each layer's
 realized second-order coupling equals its bookkeeping target exactly; the
 error budget sum(lambda^3/delta^2) then refers to realized magnitudes.
 
-The same module builds unary-clock history Hamiltonians as a source
-generator for the compiler.
+The same module builds unary-clock history Hamiltonians.  They are dense
+matrices on the computation (x) legal-clock space, certified by exact
+diagonalization; they are not a ``SpinHamiltonian`` and ``compile`` cannot
+take them as a source.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -45,6 +48,7 @@ from .errors import (
 from .operators import (
     AXES,
     PAULI_MATRICES,
+    LineReader,
     PauliTerm,
     SpinHamiltonian,
     Spectrum,
@@ -54,8 +58,9 @@ from .operators import (
     multiply_factor_tuples,
     realize_spin,  # unused here; perfbench/spans.py traces gadgets.realize_spin
     spin_components,
-    spin_from_text,
+    spin_from_text,  # unused here; perfbench/spans.py traces gadgets.spin_from_text
     spin_to_text,
+    _read_spin,
 )
 
 SAFETY = 10.0
@@ -770,131 +775,62 @@ def plan_to_text(plan: GadgetPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _plan_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped
-
-
 def plan_from_text(text: str) -> GadgetPlan:
-    lines = list(_plan_lines(text))
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError("unexpected end of plan document")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    lineno, header = take()
-    if header != "gadget-plan v1":
-        raise ParseError(f"line {lineno}: expected 'gadget-plan v1' header")
-    scalars = {}
-    for key in ("precision", "safety", "budget", "offset", "spins"):
-        lineno, line = take()
-        tokens = line.split()
-        if len(tokens) != 2 or tokens[0] != key:
-            raise ParseError(f"line {lineno}: expected '{key} <value>'")
+    """Read a plan document; reject one whose sections disagree."""
+    reader = LineReader.from_text(text, "plan document")
+    reader.expect("gadget-plan v1")
+    precision = reader.field("precision", float)
+    safety = reader.field("safety", float)
+    budget = reader.field("budget", float)
+    offset = reader.field("offset", float)
+    num_spins = reader.field("spins", int)
+    layer_rows = []
+    for line in reader.counted("layers"):
         try:
-            scalars[key] = int(tokens[1]) if key == "spins" else float(tokens[1])
+            index, name, lam, delta, count, layer_budget = line.split()
+            layer_rows.append(LayerScales(int(index), name, float(lam), float(delta),
+                                          int(count), float(layer_budget)))
         except ValueError:
-            raise ParseError(f"line {lineno}: bad {key} value {tokens[1]!r}")
-
-    def section_count(keyword):
-        lineno, line = take()
+            raise reader.error(f"bad layer record {line!r}") from None
+    gadgets = []
+    for line in reader.counted("gadgets"):
         tokens = line.split()
-        if len(tokens) != 2 or tokens[0] != keyword:
-            raise ParseError(f"line {lineno}: expected '{keyword} <count>'")
         try:
-            return int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad count {tokens[1]!r}")
-
-    try:
-        layer_rows = []
-        for _ in range(section_count("layers")):
-            lineno, line = take()
-            tokens = line.split()
-            if len(tokens) != 6:
-                raise ParseError(f"line {lineno}: bad layer record")
-            try:
-                layer_rows.append(LayerScales(
-                    int(tokens[0]), tokens[1], float(tokens[2]),
-                    float(tokens[3]), int(tokens[4]), float(tokens[5])))
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad layer record {line!r}")
-        gadgets = []
-        for _ in range(section_count("gadgets")):
-            lineno, line = take()
-            tokens = line.split()
             if len(tokens) < 8:
-                raise ParseError(f"line {lineno}: bad gadget record")
+                raise ValueError("no slot tokens")
             slots = {}
             for tok in tokens[7:]:
-                parts = tok.split(":")
-                if len(parts) != 4:
-                    raise ParseError(f"line {lineno}: bad slot token {tok!r}")
-                axis, site, sys_axis, strength = parts
-                try:
-                    slots.setdefault(axis, []).append(
-                        (int(site), sys_axis, float(strength)))
-                except ValueError:
-                    raise ParseError(f"line {lineno}: bad slot token {tok!r}")
-            slots = {axis: tuple(entries) for axis, entries in slots.items()}
-            frozen = None if tokens[2] == "-" else tokens[2]
-            try:
-                scalars_row = (int(tokens[0]), float(tokens[3]),
-                               float(tokens[4]), float(tokens[5]),
-                               float(tokens[6]))
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad gadget record {line!r}")
+                axis, site, sys_axis, strength = tok.split(":")
+                slots.setdefault(axis, []).append((int(site), sys_axis, float(strength)))
             gadgets.append(MediatorGadget(
-                scalars_row[0], tokens[1], scalars_row[1], scalars_row[2],
-                scalars_row[3], scalars_row[4], slots, frozen_axis=frozen))
-        heis = []
-        for _ in range(section_count("heisenberg")):
-            lineno, line = take()
-            tokens = line.split()
-            if len(tokens) != 3:
-                raise ParseError(f"line {lineno}: bad coupling record")
-            try:
-                heis.append((int(tokens[0]), int(tokens[1]), float(tokens[2])))
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad coupling record {line!r}")
-
-        def block(keyword):
-            lineno, line = take()
-            if line != keyword:
-                raise ParseError(f"line {lineno}: expected '{keyword}' section")
-            body = []
-            while True:
-                _, line = take()
-                if line == "end":
-                    break
-                body.append(line)
-            return "\n".join(body) + "\n"
-
-        source = spin_from_text(block("source"))
-        compiled = spin_from_text(block("compiled"))
-    except ParseError:
-        raise
-    except (ValueError, ValidationError) as exc:
-        raise ParseError(f"bad plan document: {exc}")
-    precision = scalars["precision"]
-    safety = scalars["safety"]
-    budget = scalars["budget"]
-    offset = scalars["offset"]
-    mediators = {name: [] for name in LAYER_ORDER}
-    for g in gadgets:
-        mediators[g.layer].append(g.mediator)
-    layer_rows = tuple(replace(rec, mediators=tuple(mediators[rec.name]))
-                       for rec in layer_rows)
+                int(tokens[0]), tokens[1], float(tokens[3]), float(tokens[4]),
+                float(tokens[5]), float(tokens[6]),
+                {axis: tuple(entries) for axis, entries in slots.items()},
+                frozen_axis=None if tokens[2] == "-" else tokens[2]))
+        except (ValueError, ValidationError) as exc:
+            raise reader.error(f"bad gadget record {line!r}: {exc}") from None
+    heisenberg = []
+    for line in reader.counted("heisenberg"):
+        try:
+            a, b, strength = line.split()
+            heisenberg.append((int(a), int(b), float(strength)))
+        except ValueError:
+            raise reader.error(f"bad coupling record {line!r}") from None
+    source = _read_spin(reader.section("source"))
+    compiled = _read_spin(reader.section("compiled"))
+    reader.done()
+    if num_spins != compiled.num_spins:
+        raise ParseError(f"plan declares {num_spins} spins but its compiled "
+                         f"section has {compiled.num_spins}")
+    declared = {rec.name: rec.count for rec in layer_rows}
+    listed = Counter(g.layer for g in gadgets)
+    if listed != declared:
+        raise ParseError(f"layer records count gadgets {declared} but the "
+                         f"gadgets section lists {dict(listed)}")
+    layer_rows = tuple(replace(rec, mediators=tuple(
+        g.mediator for g in gadgets if g.layer == rec.name)) for rec in layer_rows)
     return GadgetPlan(source, precision, safety, layer_rows, tuple(gadgets),
-                      tuple(heis), compiled, offset, budget)
+                      tuple(heisenberg), compiled, offset, budget)
 
 
 # ---------------------------------------------------------------------------

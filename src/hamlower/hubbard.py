@@ -31,9 +31,10 @@ from .operators import (
     AXES,
     FermionOperator,
     FockSector,
+    LineReader,
     PauliTerm,
     SpinHamiltonian,
-    _strip_lines,
+    _read_fermion,
     default_site_modes,
     eig_hermitian,  # unused here; perfbench/spans.py traces hubbard.eig_hermitian
     eig_values,
@@ -332,61 +333,36 @@ def hubbard_to_text(model: HubbardModel) -> str:
 
 
 def hubbard_from_text(text: str) -> HubbardModel:
-    lines = list(_strip_lines(text))
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError("unexpected end of model document")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    lineno, header = take()
-    if header != "hubbard":
-        raise ParseError(f"line {lineno}: expected 'hubbard' header")
-    scalars = {}
-    for key, cast in (("sites", int), ("t", float), ("U", float)):
-        lineno, line = take()
-        tokens = line.split()
-        if len(tokens) != 2 or tokens[0] != key:
-            raise ParseError(f"line {lineno}: expected '{key} <value>'")
+    """Read a model document; an ``operator`` section must match the model."""
+    reader = LineReader.from_text(text, "model document")
+    reader.expect("hubbard")
+    sites = reader.field("sites", int)
+    t = reader.field("t", float)
+    u = reader.field("U", float)
+    edges = []
+    for line in reader.counted("edges"):
         try:
-            scalars[key] = cast(tokens[1])
+            i, j = line.split()
+            edges.append((int(i), int(j)))
         except ValueError:
-            raise ParseError(f"line {lineno}: bad {key} value {tokens[1]!r}")
-    sites, t, u = scalars["sites"], scalars["t"], scalars["U"]
-
-    def counted(keyword, width, casts):
-        lineno, line = take()
-        tokens = line.split()
-        if len(tokens) != 2 or tokens[0] != keyword:
-            raise ParseError(f"line {lineno}: expected '{keyword} <count>'")
-        try:
-            count = int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad count {tokens[1]!r}")
-        rows = []
-        for _ in range(count):
-            lineno, line = take()
-            tokens = line.split()
-            if len(tokens) != width:
-                raise ParseError(f"line {lineno}: bad {keyword} record {line!r}")
-            try:
-                rows.append(tuple(cast(tok) for cast, tok in zip(casts, tokens)))
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad {keyword} record {line!r}")
-        return rows
-
-    edges = counted("edges", 2, (int, int))
-    field_rows = counted("fields", 4, (int, float, float, float))
+            raise reader.error(f"bad edges record {line!r}") from None
     fields = [(0.0, 0.0, 0.0)] * sites
-    for site, bx, by, bz in field_rows:
+    for line in reader.counted("fields"):
+        try:
+            site, bx, by, bz = line.split()
+            site, row = int(site), (float(bx), float(by), float(bz))
+        except ValueError:
+            raise reader.error(f"bad fields record {line!r}") from None
         if not 0 <= site < sites:
-            raise ParseError(f"field row targets site {site} outside the lattice")
-        fields[site] = (bx, by, bz)
-    try:
-        return HubbardModel(sites, t, u, tuple(edges), tuple(fields))
-    except ValidationError as exc:
-        raise ParseError(f"bad model document: {exc}")
+            raise reader.error(f"field row targets site {site} outside the lattice")
+        fields[site] = row
+    operator = None if reader.at_end else _read_fermion(reader.section("operator"))
+    reader.done()
+    model = reader.build(HubbardModel, sites, t, u, tuple(edges), tuple(fields))
+    # normal_order drops residual terms of magnitude <= 1e-12, the threshold
+    # hubbard_to_text uses for imaginary parts it leaves out.
+    if operator is not None and (
+            operator.num_modes != model.num_modes
+            or (operator + build_hubbard(model).scaled(-1)).normal_order().terms):
+        raise ParseError("operator section does not match the model's operator")
+    return model

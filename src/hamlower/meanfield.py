@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .operators import (
     FermionOperator,
     FockSector,
-    _strip_lines,
+    LineReader,
     eig_hermitian,
     eig_values,
     realize_fermion,
@@ -309,46 +309,31 @@ def second_quantized_to_text(ham: SecondQuantizedHamiltonian) -> str:
 
 
 def second_quantized_from_text(text: str) -> SecondQuantizedHamiltonian:
-    num_modes = None
-    one = None
-    two = None
-    for lineno, line in _strip_lines(text):
+    reader = LineReader.from_text(text, "second-quantized document")
+    num_modes = reader.field("modes", int)
+    if num_modes < 1:
+        raise reader.error("need at least one mode")
+    one = np.zeros((num_modes, num_modes))
+    two = np.zeros((num_modes,) * 4)
+    for line in reader.rest():
         tokens = line.split()
-        if num_modes is None:
-            if tokens[0] != "modes" or len(tokens) != 2:
-                raise ParseError(f"line {lineno}: expected header 'modes M'")
-            try:
-                num_modes = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad mode count {tokens[1]!r}")
-            if num_modes < 1:
-                raise ParseError(f"line {lineno}: need at least one mode")
-            one = np.zeros((num_modes, num_modes))
-            two = np.zeros((num_modes,) * 4)
-            continue
-        kind = tokens[0]
-        if kind == "1" and len(tokens) == 4:
-            indices, value_tok = tokens[1:3], tokens[3]
-            target = one
-        elif kind == "2" and len(tokens) == 6:
-            indices, value_tok = tokens[1:5], tokens[5]
-            target = two
-        else:
-            raise ParseError(f"line {lineno}: expected '1 i j v' or '2 i j k l v'")
         try:
-            indices = tuple(int(tok) for tok in indices)
-            value = float(value_tok)
+            if tokens[0] == "1" and len(tokens) == 4:
+                target = one
+                indices = (int(tokens[1]), int(tokens[2]))
+            elif tokens[0] == "2" and len(tokens) == 6:
+                target = two
+                indices = (int(tokens[1]), int(tokens[2]),
+                           int(tokens[3]), int(tokens[4]))
+            else:
+                raise reader.error("expected '1 i j v' or '2 i j k l v'")
+            value = float(tokens[-1])
         except ValueError:
-            raise ParseError(f"line {lineno}: bad record {line!r}")
-        if any(not 0 <= ix < num_modes for ix in indices):
-            raise ParseError(f"line {lineno}: mode index outside [0, {num_modes})")
+            raise reader.error(f"bad record {line!r}") from None
+        if min(indices) < 0 or max(indices) >= num_modes:
+            raise reader.error(f"mode index outside [0, {num_modes})")
         target[indices] += value
-    if num_modes is None:
-        raise ParseError("missing 'modes M' header")
-    try:
-        return SecondQuantizedHamiltonian(one, two)
-    except ValidationError as exc:
-        raise ParseError(f"inconsistent coefficients: {exc}")
+    return reader.build(SecondQuantizedHamiltonian, one, two)
 
 
 # ---------------------------------------------------------------------------
@@ -433,33 +418,20 @@ def ising_to_text(instance: IsingInstance) -> str:
 
 
 def ising_from_text(text: str) -> IsingInstance:
-    length = None
+    reader = LineReader.from_text(text, "Ising document")
+    length = reader.field("ising", int)
     couplings = {}
-    for lineno, line in _strip_lines(text):
-        tokens = line.split()
-        if length is None:
-            if tokens[0] != "ising" or len(tokens) != 2:
-                raise ParseError(f"line {lineno}: expected header 'ising L'")
-            try:
-                length = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad grid length {tokens[1]!r}")
-            continue
-        if len(tokens) != 3:
-            raise ParseError(f"line {lineno}: expected 'i j J'")
+    for line in reader.rest():
         try:
-            i, j, value = int(tokens[0]), int(tokens[1]), int(tokens[2])
+            i, j, value = line.split()
+            i, j, value = int(i), int(j), int(value)
         except ValueError:
-            raise ParseError(f"line {lineno}: bad bond record {line!r}")
-        if (min(i, j), max(i, j)) in couplings:
-            raise ParseError(f"line {lineno}: bond ({i}, {j}) listed twice")
-        couplings[(min(i, j), max(i, j))] = value
-    if length is None:
-        raise ParseError("missing 'ising L' header")
-    try:
-        return IsingInstance(length, couplings)
-    except ValidationError as exc:
-        raise ParseError(f"bad instance: {exc}")
+            raise reader.error(f"expected 'i j J', got {line!r}") from None
+        bond = (min(i, j), max(i, j))
+        if bond in couplings:
+            raise reader.error(f"bond ({i}, {j}) listed twice")
+        couplings[bond] = value
+    return reader.build(IsingInstance, length, couplings)
 
 
 def index_to_spins(index: int, num_sites: int):

@@ -606,11 +606,99 @@ def singly_occupied_projector(sector: FockSector, num_sites: int,
 # ---------------------------------------------------------------------------
 
 
-def _strip_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+class LineReader:
+    """The comment-stripped, non-blank records of one text document.
+
+    Every interchange format reads through this class, so all of them share
+    one rule: ``#`` starts a comment that runs to the end of its line, and
+    blank lines are skipped.  Records are read in order; ``error`` names the
+    document line of the record read last, also inside a ``section``.
+    Record loops convert tokens directly and call ``error`` only on failure.
+    """
+
+    def __init__(self, records, kind: str):
+        self._records = records     # [(lineno, line)], line without comment
+        self._pos = 0
+        self._kind = kind
+
+    @classmethod
+    def from_text(cls, text: str, kind: str) -> "LineReader":
+        records = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                records.append((lineno, line))
+        return cls(records, kind)
+
+    @property
+    def at_end(self) -> bool:
+        return self._pos >= len(self._records)
+
+    def error(self, message: str) -> ParseError:
+        """A ParseError naming the line of the record read last."""
+        return ParseError(f"line {self._records[self._pos - 1][0]}: {message}")
+
+    def _next(self) -> str:
+        if self.at_end:
+            raise ParseError(f"unexpected end of {self._kind}")
+        self._pos += 1
+        return self._records[self._pos - 1][1]
+
+    def _until(self, stop: int):
+        records = self._records
+        while self._pos < stop:
+            self._pos += 1
+            yield records[self._pos - 1][1]
+
+    def expect(self, line: str) -> None:
+        """Read a bare header line."""
+        if self._next() != line:
+            raise self.error(f"expected {line!r}")
+
+    def field(self, key: str, cast):
+        """Read a ``key value`` line and return ``cast(value)``."""
+        tokens = self._next().split()
+        if len(tokens) != 2 or tokens[0] != key:
+            raise self.error(f"expected '{key} <value>'")
+        try:
+            return cast(tokens[1])
+        except ValueError:
+            raise self.error(f"bad {key} value {tokens[1]!r}") from None
+
+    def counted(self, key: str):
+        """Read ``key <count>``; iterate over the next ``count`` lines."""
+        count = self.field(key, int)
+        if count < 0:
+            raise self.error(f"bad {key} value {count}")
+        stop = self._pos + count
+        if stop > len(self._records):
+            raise ParseError(f"unexpected end of {self._kind}")
+        return self._until(stop)
+
+    def section(self, key: str) -> "LineReader":
+        """Read a bare ``key`` line; return a reader over the lines up to ``end``."""
+        self.expect(key)
+        start = self._pos
+        while self._next() != "end":
+            pass
+        return LineReader(self._records[start:self._pos - 1], f"{key!r} section")
+
+    def rest(self):
+        """Iterate over the remaining lines."""
+        return self._until(len(self._records))
+
+    def done(self) -> None:
+        """Reject any content left after the last expected record."""
+        if not self.at_end:
+            self._pos += 1
+            raise self.error(f"unexpected trailing content in {self._kind}")
+
+    def build(self, make, *args):
+        """Return ``make(*args)``, reporting a ValidationError as a ParseError."""
+        try:
+            return make(*args)
+        except ValidationError as exc:
+            raise ParseError(f"bad {self._kind}: {exc}") from None
 
 
 def spin_to_text(h: SpinHamiltonian) -> str:
@@ -624,40 +712,24 @@ def spin_to_text(h: SpinHamiltonian) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spin_from_text(text: str) -> SpinHamiltonian:
-    num_spins = None
+def _read_spin(reader: LineReader) -> SpinHamiltonian:
+    num_spins = reader.field("spins", int)
     terms = []
-    for lineno, line in _strip_lines(text):
+    for line in reader.rest():
         tokens = line.split()
-        if num_spins is None:
-            if tokens[0] != "spins" or len(tokens) != 2:
-                raise ParseError(f"line {lineno}: expected header 'spins N'")
-            try:
-                num_spins = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad spin count {tokens[1]!r}")
-            continue
         try:
-            coeff = float(tokens[0])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad coefficient {tokens[0]!r}")
-        factors = []
-        for tok in tokens[1:]:
-            try:
+            factors = []
+            for tok in tokens[1:]:
                 axis, site = tok.split("@")
                 factors.append((int(site), axis))
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad factor token {tok!r}")
-        try:
-            terms.append(PauliTerm(coeff, factors))
-        except ValidationError as exc:
-            raise ParseError(f"line {lineno}: {exc}")
-    if num_spins is None:
-        raise ParseError("missing 'spins N' header")
-    try:
-        return SpinHamiltonian(num_spins, terms).canonicalize()
-    except ValidationError as exc:
-        raise ParseError(str(exc))
+            terms.append(PauliTerm(float(tokens[0]), factors))
+        except (ValueError, ValidationError) as exc:
+            raise reader.error(f"bad term {line!r}: {exc}") from None
+    return reader.build(reader.build(SpinHamiltonian, num_spins, terms).canonicalize)
+
+
+def spin_from_text(text: str) -> SpinHamiltonian:
+    return _read_spin(LineReader.from_text(text, "spin document"))
 
 
 def fermion_to_text(op: FermionOperator) -> str:
@@ -673,35 +745,22 @@ def fermion_to_text(op: FermionOperator) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fermion_from_text(text: str) -> FermionOperator:
-    num_modes = None
+def _read_fermion(reader: LineReader) -> FermionOperator:
+    num_modes = reader.field("modes", int)
     terms = []
-    for lineno, line in _strip_lines(text):
+    for line in reader.rest():
         tokens = line.split()
-        if num_modes is None:
-            if tokens[0] != "modes" or len(tokens) != 2:
-                raise ParseError(f"line {lineno}: expected header 'modes M'")
-            try:
-                num_modes = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad mode count {tokens[1]!r}")
-            continue
         try:
-            coeff = float(tokens[0])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad coefficient {tokens[0]!r}")
-        mono = []
-        for tok in tokens[1:]:
-            if len(tok) < 2 or tok[0] not in "+-":
-                raise ParseError(f"line {lineno}: bad operator token {tok!r}")
-            try:
+            mono = []
+            for tok in tokens[1:]:
+                if tok[0] not in "+-":
+                    raise ValueError(tok)
                 mono.append((int(tok[1:]), tok[0] == "+"))
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad operator token {tok!r}")
-        terms.append((coeff, tuple(mono)))
-    if num_modes is None:
-        raise ParseError("missing 'modes M' header")
-    try:
-        return FermionOperator(num_modes, terms)
-    except ValidationError as exc:
-        raise ParseError(str(exc))
+            terms.append((float(tokens[0]), tuple(mono)))
+        except ValueError:
+            raise reader.error(f"bad term {line!r}") from None
+    return reader.build(FermionOperator, num_modes, terms)
+
+
+def fermion_from_text(text: str) -> FermionOperator:
+    return _read_fermion(LineReader.from_text(text, "fermion document"))

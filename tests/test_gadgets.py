@@ -597,6 +597,43 @@ class TestPlanSerialization:
         with pytest.raises(ParseError):
             plan_from_text(broken)
 
+    def test_section_errors_name_the_document_line(self):
+        lines = plan_to_text(gadgets.compile(single_coupling(0.5), 0.5)).splitlines()
+        term = lines.index("source") + 2       # after the section's 'spins' header
+        lines[term] = "1.0 Q@0"
+        with pytest.raises(ParseError, match=rf"^line {term + 1}: .*'Q'"):
+            plan_from_text("\n".join(lines) + "\n")
+
+    def test_trailing_content_is_rejected(self):
+        text = plan_to_text(gadgets.compile(single_coupling(0.5), 0.5))
+        with pytest.raises(ParseError, match="trailing"):
+            plan_from_text(text + "junk\n")
+
+    def test_spin_count_must_match_compiled_section(self):
+        plan = gadgets.compile(single_coupling(0.5), 0.5)
+        text = plan_to_text(plan)
+        header = f"\nspins {plan.num_spins}\n"
+        assert text.index(header) < text.index("\nsource\n")
+        broken = text.replace(header, f"\nspins {plan.num_spins + 1}\n", 1)
+        with pytest.raises(ParseError, match="spins"):
+            plan_from_text(broken)
+
+    def test_layer_count_must_match_listed_gadgets(self):
+        plan = gadgets.compile(single_coupling(0.5), 0.5)
+        rec = plan.layers[0]
+        text = plan_to_text(plan)
+        row = f"{rec.index} {rec.name} {rec.lam!r} {rec.delta!r} {rec.count} "
+        assert row in text
+        broken = text.replace(row, row.replace(f" {rec.count} ", f" {rec.count + 1} "), 1)
+        with pytest.raises(ParseError, match="layer"):
+            plan_from_text(broken)
+
+    def test_trailing_comments_are_ignored(self):
+        plan = gadgets.compile(single_coupling(0.5), 0.5)
+        commented = "".join(line + "  # note\n"
+                            for line in plan_to_text(plan).splitlines())
+        assert plan_from_text(commented) == plan
+
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)

@@ -315,6 +315,21 @@ class TestSerialization:
         with pytest.raises(ParseError):
             hubbard_from_text("hubbard\nsites 2\nt 1.0\n")
 
+    def test_trailing_content_is_rejected(self):
+        y_field = dimer(fields=((0.0, 0.4, 0.0), (0.0, 0.0, 0.0)))
+        with pytest.raises(ParseError, match="operator"):
+            hubbard_from_text(hubbard_to_text(y_field) + "junk\n")
+        with pytest.raises(ParseError, match="trailing"):
+            hubbard_from_text(hubbard_to_text(dimer()) + "junk\n")
+
+    def test_operator_section_must_match_the_model(self):
+        lines = hubbard_to_text(dimer()).splitlines()
+        first_term = lines.index("operator") + 2
+        coeff, rest = lines[first_term].split(" ", 1)
+        lines[first_term] = f"{float(coeff) + 1e-6!r} {rest}"
+        with pytest.raises(ParseError, match="operator"):
+            hubbard_from_text("\n".join(lines) + "\n")
+
     def test_comments_are_ignored(self):
         text = hubbard_to_text(dimer())
         commented = "# lattice model\n" + text.replace(

@@ -433,6 +433,10 @@ class TestTextFormats:
         with pytest.raises(ParseError):
             spin_from_text("")
 
+    def test_spin_merge_overflow_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="non-finite"):
+            spin_from_text("spins 1\n1e308 Z@0\n1e308 Z@0\n")
+
     def test_spin_comments_and_blank_lines(self):
         text = "# a comment\nspins 1\n\n1.0 Z@0  # trailing\n"
         h = spin_from_text(text)
