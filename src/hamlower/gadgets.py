@@ -199,6 +199,8 @@ class MediatorGadget:
         _validate_gadget_scales(self.lam, self.delta)
         if self.layer not in LAYER_ORDER:
             raise ValidationError(f"unknown layer {self.layer!r}")
+        if self.frozen_axis is not None and self.frozen_axis not in AXES:
+            raise ValidationError(f"unknown frozen axis {self.frozen_axis!r}")
         for axis, entries in self.slots.items():
             if axis not in AXES:
                 raise ValidationError(f"unknown slot axis {axis!r}")

@@ -52,6 +52,8 @@ class SecondQuantizedHamiltonian:
         one_body = np.asarray(one_body, dtype=complex)
         if one_body.ndim != 2 or one_body.shape[0] != one_body.shape[1]:
             raise ValidationError(f"one-body part must be square, got {one_body.shape}")
+        if not np.isfinite(one_body).all():
+            raise ValidationError("non-finite coefficient in the one-body part")
         m = one_body.shape[0]
         if m < 1:
             raise ValidationError("need at least one mode")
@@ -64,6 +66,8 @@ class SecondQuantizedHamiltonian:
         if two_body.shape != (m, m, m, m):
             raise ValidationError(
                 f"two-body part must have shape {(m,) * 4}, got {two_body.shape}")
+        if not np.isfinite(two_body).all():
+            raise ValidationError("non-finite coefficient in the two-body part")
         scale2 = max(1.0, float(np.abs(two_body).max()))
         mirror = two_body.conj().transpose(3, 2, 1, 0)
         if np.abs(two_body - mirror).max() > HERMITICITY_ATOL * scale2:
@@ -187,7 +191,13 @@ def fock_matrix(ham: SecondQuantizedHamiltonian, density, xc=None) -> np.ndarray
 
 @dataclass
 class SCFResult:
-    """Best determinant over all restarts, with convergence bookkeeping."""
+    """Best determinant over all restarts, with convergence bookkeeping.
+
+    ``history`` holds the best restart's density residuals, one per
+    iteration: the Frobenius norm of the fresh density minus the current
+    one, the quantity the convergence test compares with ``tolerance``.
+    ``energy`` is the Wick energy of the final determinant.
+    """
 
     state: SlaterState
     energy: float
@@ -232,16 +242,22 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
         raise ValidationError("damping must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     h_tot = _one_body_total(ham, xc)
-    # One (m^2, m^2) kernel turns every Fock build and energy evaluation in
-    # the iteration loop into a single small matrix product; the column
-    # pairs match the density indices contracted in fock_matrix.
+    # One (m^2, m^2) kernel turns every Fock build in the iteration loop
+    # into a single matrix product; the column pairs match the density
+    # indices contracted in fock_matrix.  Only its nonzero rows are kept:
+    # each kept row's dot product is unchanged, and the other entries of
+    # the interaction stay zero.
     w = ham.two_body
     kernel = 0.5 * (np.einsum("pjkq->pqkj", w) + np.einsum("ipql->pqli", w)
                     - np.einsum("pjql->pqlj", w)
                     - np.einsum("ipkq->pqki", w)).reshape(m * m, m * m)
+    rows = np.flatnonzero(kernel.any(axis=1))
+    kernel = kernel[rows]
 
     def interaction(density):
-        return (kernel @ density.reshape(-1)).reshape(m, m)
+        out = np.zeros(m * m, dtype=complex)
+        out[rows] = kernel @ density.reshape(-1)
+        return out.reshape(m, m)
 
     best = None
     converged_count = 0
@@ -261,10 +277,7 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
             fresh = u @ u.conj().T
             step = float(np.linalg.norm(fresh - density))
             density = density + damping * (fresh - density)
-            # The functional is quadratic, so tr((h + F_int/2) D) is the
-            # Wick energy of the fresh determinant.
-            value = np.trace((h_tot + 0.5 * interaction(fresh)) @ fresh)
-            history.append(float(value.real))
+            history.append(step)
             if step <= tolerance:
                 converged = True
                 break

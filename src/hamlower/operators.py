@@ -273,7 +273,12 @@ def _checked_hermitian(matrix) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
     scale = max(1.0, float(np.abs(matrix).max()))
-    if np.abs(matrix - matrix.conj().T).max() > 1e-10 * scale:
+    diff = np.abs(matrix - matrix.conj().T).max()
+    # Negated so that a NaN difference, which any non-finite entry leaves
+    # behind, fails the test as well.
+    if not diff <= 1e-10 * scale:
+        if np.isnan(diff):
+            raise ValidationError("matrix has non-finite entries")
         raise ValidationError("matrix is not Hermitian within tolerance")
     return matrix
 

@@ -234,6 +234,17 @@ class TestScf:
         assert field(report, "converged") == "no"
         assert field(report, "result") == "fail"
 
+    @pytest.mark.parametrize("record", ["1 0 0 nan", "1 1 1 inf",
+                                        "2 0 1 1 0 nan"])
+    def test_non_finite_coefficient_is_parse_error(self, tmp_path, capsys,
+                                                   record):
+        path = tmp_path / "sq.txt"
+        path.write_text(f"modes 2\n1 0 0 -1.0\n{record}\n")
+        code, report, err = run(["scf", str(path), "--particles", "1"], capsys)
+        assert code == 2
+        assert "non-finite" in err
+        assert report == ""
+
     def test_bad_particle_count_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "sq.txt"
         path.write_text(second_quantized_to_text(small_interacting_instance()))

@@ -604,6 +604,16 @@ class TestPlanSerialization:
         with pytest.raises(ParseError, match=rf"^line {term + 1}: .*'Q'"):
             plan_from_text("\n".join(lines) + "\n")
 
+    def test_unknown_frozen_axis_is_rejected(self):
+        lines = plan_to_text(gadgets.compile(single_coupling(0.5), 0.5)).splitlines()
+        record = next(i for i, line in enumerate(lines)
+                      if line.split()[1:3] == ["freeze-pair", "Y"])
+        tokens = lines[record].split()
+        tokens[2] = "Q"
+        lines[record] = " ".join(tokens)
+        with pytest.raises(ParseError, match=rf"^line {record + 1}: .*frozen axis 'Q'"):
+            plan_from_text("\n".join(lines) + "\n")
+
     def test_trailing_content_is_rejected(self):
         text = plan_to_text(gadgets.compile(single_coupling(0.5), 0.5))
         with pytest.raises(ParseError, match="trailing"):

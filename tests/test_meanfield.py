@@ -36,9 +36,11 @@ from hamlower.meanfield import (
     scf_solve,
     second_quantized_from_text,
     second_quantized_to_text,
+    _haar_orbitals,
 )
 from hamlower.operators import (
     FockSector,
+    eig_hermitian,
     realize_fermion,
 )
 
@@ -81,6 +83,53 @@ def fock_space_energy(ham, state):
     return float((vec.conj() @ matrix @ vec).real)
 
 
+def _reference_scf(ham, num_particles, *, restarts, seed=0,
+                   max_iterations=500, tolerance=1e-8, damping=0.5):
+    """The damped Roothaan loop with the full (m^2, m^2) kernel and a
+    second kernel product per iteration for the Wick energy history."""
+    m = ham.num_modes
+    rng = np.random.default_rng(seed)
+    w = ham.two_body
+    kernel = 0.5 * (np.einsum("pjkq->pqkj", w) + np.einsum("ipql->pqli", w)
+                    - np.einsum("pjql->pqlj", w)
+                    - np.einsum("ipkq->pqki", w)).reshape(m * m, m * m)
+
+    def interaction(density):
+        return (kernel @ density.reshape(-1)).reshape(m, m)
+
+    best = None
+    converged_count = 0
+    for attempt in range(restarts):
+        if attempt == 0:
+            u = eig_hermitian(ham.one_body).vectors[:, :num_particles]
+        else:
+            u = _haar_orbitals(rng, m, num_particles)
+        density = u @ u.conj().T
+        converged = False
+        history = []
+        for iterations in range(1, max_iterations + 1):
+            f = ham.one_body + interaction(density)
+            f = 0.5 * (f + f.conj().T)
+            u = eig_hermitian(f).vectors[:, :num_particles]
+            fresh = u @ u.conj().T
+            step = float(np.linalg.norm(fresh - density))
+            density = density + damping * (fresh - density)
+            value = np.trace((ham.one_body + 0.5 * interaction(fresh)) @ fresh)
+            history.append(float(value.real))
+            if step <= tolerance:
+                converged = True
+                break
+        state = SlaterState(u)
+        energy = hartree_fock_energy(ham, state)
+        converged_count += converged
+        candidate = (energy, attempt, state, converged, iterations, tuple(history))
+        if best is None or candidate[:2] < best[:2]:
+            best = candidate
+    energy, attempt, state, converged, iterations, history = best
+    return SCFResult(state, energy, converged, iterations, attempt,
+                     restarts, converged_count, history)
+
+
 class TestHamiltonianValidation:
     def test_rejects_non_hermitian_one_body(self):
         with pytest.raises(ValidationError):
@@ -98,6 +147,17 @@ class TestHamiltonianValidation:
             SecondQuantizedHamiltonian(np.zeros((2, 3)))
         with pytest.raises(ValidationError):
             SecondQuantizedHamiltonian(np.zeros((2, 2)), np.zeros((3, 3, 3, 3)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_rejects_non_finite_coefficients(self, bad):
+        one = np.eye(2, dtype=complex)
+        one[0, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            SecondQuantizedHamiltonian(one)
+        two = np.zeros((2, 2, 2, 2), dtype=complex)
+        two[0, 1, 1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            SecondQuantizedHamiltonian(np.eye(2), two)
 
     def test_equality(self):
         a = SecondQuantizedHamiltonian(np.eye(2))
@@ -258,6 +318,29 @@ class TestSCF:
         big = SecondQuantizedHamiltonian(np.eye(16))
         with pytest.raises(ResourceLimitError):
             exact_ground_energy(big, 8)
+
+
+class TestRowRestrictedSCF:
+    """scf_solve keeps only the kernel's nonzero rows and records the
+    density residual; the reference keeps the full kernel."""
+
+    @pytest.mark.parametrize("case,converges", [
+        ("dense-5", True), ("ising-L2", False), ("ising-L3", False)])
+    def test_matches_full_kernel_reference(self, case, converges):
+        if case == "dense-5":
+            ham, particles = random_hamiltonian(np.random.default_rng(31), 5), 2
+        else:
+            inst = random_instance(int(case[-1]), 0)
+            ham, particles = embed_ising(inst), inst.num_sites
+        result = scf_solve(ham, particles, restarts=2)
+        reference = _reference_scf(ham, particles, restarts=2)
+        assert result.energy == reference.energy
+        assert result.restart == reference.restart
+        assert result.iterations == reference.iterations
+        assert result.converged == reference.converged == converges
+        assert result.restarts_converged == reference.restarts_converged
+        assert len(result.history) == result.iterations
+        assert (result.history[-1] <= 1e-8) == result.converged
 
 
 class TestSecondQuantizedText:

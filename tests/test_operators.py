@@ -16,6 +16,7 @@ from hamlower.operators import (
     apply_spin,
     dense_spin_limit,
     eig_hermitian,
+    eig_values,
     fermion_from_monomial,
     fermion_from_text,
     fermion_to_text,
@@ -161,6 +162,19 @@ class TestLowSpectrum:
     def test_matches_dense_eigenvalues(self, h, k):
         expected = np.linalg.eigvalsh(realize_spin(h))[:k]
         assert np.allclose(low_spectrum(h, k), expected, atol=1e-10)
+
+
+class TestEigensolverChecks:
+    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+    def test_non_finite_matrix_is_rejected(self, solve, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve(np.array([[bad, 0], [0, 1.0]]))
+
+    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian])
+    def test_non_hermitian_matrix_is_rejected(self, solve):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPauliAlgebra:
