@@ -97,9 +97,13 @@ def cmd_compile(args) -> int:
     report = Report("compile", text)
     start = time.perf_counter()
     source = spin_from_text(text)
+    report.wall("parse", time.perf_counter() - start)
+    start = time.perf_counter()
     plan = compile(source, args.precision, safety=args.safety)
     report.wall("compile", time.perf_counter() - start)
+    start = time.perf_counter()
     Path(args.output).write_text(plan_to_text(plan), encoding="utf-8")
+    report.wall("write", time.perf_counter() - start)
     report.headers.append(f"# wrote {args.output}")
     report.add("precision", plan.target_precision)
     report.add("safety", plan.safety)

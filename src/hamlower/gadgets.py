@@ -138,6 +138,19 @@ def mediator_coefficients(theta: float, phi: float) -> MediatorCoefficients:
     return MediatorCoefficients(theta, phi, d, o)
 
 
+class CoefficientSets(dict):
+    """``mediator_coefficients`` per ``(theta, phi)``, computed on first use.
+
+    One table lives for one compile call (or one plan query), so each
+    distinct splitting angle is computed once and the table's size is
+    bounded by the gadgets it served.
+    """
+
+    def __missing__(self, angles):
+        co = self[angles] = mediator_coefficients(*angles)
+        return co
+
+
 @dataclass(frozen=True)
 class EffectiveCoefficients:
     """Second-order output of a uniform-strength mediator gadget."""
@@ -201,12 +214,16 @@ class MediatorGadget:
             raise ValidationError(f"unknown layer {self.layer!r}")
         if self.frozen_axis is not None and self.frozen_axis not in AXES:
             raise ValidationError(f"unknown frozen axis {self.frozen_axis!r}")
+        if self.mediator < 0:
+            raise ValidationError(f"negative mediator index {self.mediator}")
         for axis, entries in self.slots.items():
             if axis not in AXES:
                 raise ValidationError(f"unknown slot axis {axis!r}")
             for site, sys_axis, strength in entries:
                 if site == self.mediator:
                     raise ValidationError("slot may not touch the mediator itself")
+                if site < 0:
+                    raise ValidationError(f"negative site index {site}")
                 if sys_axis not in AXES:
                     raise ValidationError(f"unknown system axis {sys_axis!r}")
                 if abs(strength) > self.lam * (1 + 1e-9):
@@ -219,33 +236,33 @@ class MediatorGadget:
                              for site, _, _ in entries}))
 
 
-def gadget_hamiltonian(g: MediatorGadget):
+def _penalty(g: MediatorGadget, co: MediatorCoefficients):
+    """The splitting as mediator fields ``-(delta/2) * (d . sigma)`` and ``delta/2``."""
+    fields = [PauliTerm.prevalidated(-0.5 * g.delta * co.d[axis], ((g.mediator, axis),))
+              for axis in AXES if abs(co.d[axis]) > 1e-15]
+    return fields, 0.5 * g.delta
+
+
+def gadget_hamiltonian(g: MediatorGadget, co: MediatorCoefficients = None):
     """Bare physical terms of one gadget: (SpinHamiltonian terms, offset).
 
     The splitting ``delta |h><h|`` is emitted as the field
     ``-(delta/2) * (d . sigma)`` on the mediator plus the scalar ``delta/2``
-    returned as the offset.
+    returned as the offset.  ``co`` is the gadget's coefficient set when
+    the caller already holds it.
     """
-    co = mediator_coefficients(g.theta, g.phi)
-    terms = []
-    for axis in AXES:
-        if abs(co.d[axis]) > 1e-15:
-            terms.append(PauliTerm(-0.5 * g.delta * co.d[axis], [(g.mediator, axis)]))
+    if co is None:
+        co = mediator_coefficients(g.theta, g.phi)
+    terms, offset = _penalty(g, co)
     for axis, entries in g.slots.items():
         for site, sys_axis, strength in entries:
-            factors = sorted([(g.mediator, axis), (site, sys_axis)])
-            terms.append(PauliTerm(strength, factors))
-    return terms, 0.5 * g.delta
+            factors = tuple(sorted([(g.mediator, axis), (site, sys_axis)]))
+            terms.append(PauliTerm.prevalidated(strength, factors))
+    return terms, offset
 
 
-def gadget_model(g: MediatorGadget) -> SpinHamiltonian:
-    """Second-order effective Hamiltonian of one gadget on its low sector.
-
-    Includes the first-order dressed fields, all cross and diagonal
-    second-order products (expanded through the Pauli algebra), and the
-    identity part.  Imaginary parts must cancel; a residual signals a bug.
-    """
-    co = mediator_coefficients(g.theta, g.phi)
+def _model_coefficients(g: MediatorGadget, co: MediatorCoefficients) -> dict:
+    """``gadget_model``'s merged real coefficients by factor tuple, in order."""
     acc = {}
 
     def add(factors, coeff):
@@ -266,13 +283,26 @@ def gadget_model(g: MediatorGadget) -> SpinHamiltonian:
                         ((site_p, ax_p),), ((site_q, ax_q),))
                     add(factors, c_pq * phase * s_p * s_q)
     scale = max((abs(c) for c in acc.values()), default=1.0)
-    terms = []
+    out = {}
     for factors, coeff in acc.items():
         if abs(coeff.imag) > 1e-8 * scale:
             raise HamlowerError(
                 "gadget model has a non-real coefficient; slot layout is invalid")
         if abs(coeff.real) > 1e-14 * scale:
-            terms.append(PauliTerm(coeff.real, factors))
+            out[factors] = coeff.real
+    return out
+
+
+def gadget_model(g: MediatorGadget, co: MediatorCoefficients = None) -> SpinHamiltonian:
+    """Second-order effective Hamiltonian of one gadget on its low sector.
+
+    Includes the first-order dressed fields, all cross and diagonal
+    second-order products (expanded through the Pauli algebra), and the
+    identity part.  Imaginary parts must cancel; a residual signals a bug.
+    """
+    if co is None:
+        co = mediator_coefficients(g.theta, g.phi)
+    terms = [PauliTerm.prevalidated(c, f) for f, c in _model_coefficients(g, co).items()]
     num = max(s for entries in g.slots.values() for s, _, _ in entries) + 1
     return SpinHamiltonian(num, terms)
 
@@ -458,6 +488,7 @@ class _Assembler:
         self.extra_terms = []   # penalty fields + compensation fields
         self.offset = 0.0
         self.layer_mediators = {name: [] for name in LAYER_ORDER}
+        self.coefficients = CoefficientSets()
 
     def alloc(self):
         spin = self.next_spin
@@ -466,18 +497,18 @@ class _Assembler:
 
     def register(self, g: MediatorGadget, intended_pairs):
         """Record a gadget: penalty, compensation, and model verification."""
-        terms, penalty_offset = gadget_hamiltonian(g)
-        self.extra_terms.extend(t for t in terms if t.weight == 1)
+        co = self.coefficients[g.theta, g.phi]
+        fields, penalty_offset = _penalty(g, co)
+        self.extra_terms.extend(fields)
         self.offset += penalty_offset
-        model = gadget_model(g)
         got_pairs = {}
-        for t in model.terms:
-            if t.weight == 0:
-                self.offset -= t.coefficient
-            elif t.weight == 1:
-                self.extra_terms.append(t.scaled(-1.0))
+        for factors, coeff in _model_coefficients(g, co).items():
+            if not factors:
+                self.offset -= coeff
+            elif len(factors) == 1:
+                self.extra_terms.append(PauliTerm.prevalidated(-coeff, factors))
             else:
-                got_pairs[t.factors] = t.coefficient
+                got_pairs[factors] = coeff
         want = {}
         for (sa, pa), (sb, pb), coeff in intended_pairs:
             factors = tuple(sorted([(sa, pa), (sb, pb)]))
@@ -612,9 +643,10 @@ def compile(source: SpinHamiltonian, precision, *, safety=SAFETY) -> GadgetPlan:
                                          t.coefficient),
                                   prefactor=prefactor)
     heis_terms = []
+    # Each coupling's mediator was allocated after its site, so a < b.
     for a, b, strength in asm.heisenberg:
         for axis in AXES:
-            heis_terms.append(PauliTerm(strength, sorted([(a, axis), (b, axis)])))
+            heis_terms.append(PauliTerm.prevalidated(strength, ((a, axis), (b, axis))))
     num_total = asm.next_spin
     compiled = SpinHamiltonian(
         num_total, heis_terms + asm.extra_terms + list(fields)).canonicalize()
@@ -690,11 +722,9 @@ def verify_plan(plan: GadgetPlan, tolerance_factor: float = 10.0) -> PlanVerific
 
 def frozen_cross_residuals(plan: GadgetPlan):
     """|<l|P|h>| of the unwanted Pauli for every freezing gadget."""
-    out = []
-    for g in plan.freezing_gadgets():
-        out.append((g.mediator, g.frozen_axis,
-                    abs(cross_element(g.theta, g.phi, g.frozen_axis))))
-    return out
+    sets = CoefficientSets()
+    return [(g.mediator, g.frozen_axis, abs(sets[g.theta, g.phi].o[g.frozen_axis]))
+            for g in plan.freezing_gadgets()]
 
 
 @dataclass(frozen=True)
@@ -726,9 +756,10 @@ def entangler_realization(term: PauliTerm, precision, *, safety=SAFETY) -> Entan
     slots = {axis_a: ((site_i, axis_a, rec.lam),),
              axis_b: ((site_j, axis_b, rec.lam),)}
     g = MediatorGadget(m, LAYER_ENTANGLE, theta, phi, rec.lam, rec.delta, slots)
-    terms, offset = gadget_hamiltonian(g)
+    co = mediator_coefficients(theta, phi)
+    terms, offset = gadget_hamiltonian(g, co)
     hamiltonian = SpinHamiltonian(m + 1, terms).canonicalize()
-    model = gadget_model(g)
+    model = gadget_model(g, co)
     return EntanglerCheck(g, hamiltonian, offset, model, rec.budget)
 
 
@@ -895,28 +926,19 @@ def decode_clock(bits) -> int:
 
 
 def embed_gate(matrix, sites, num_spins) -> np.ndarray:
-    """Unitary on the full register from a 1- or 2-spin gate."""
+    """Unitary on the full register from a 1- or 2-spin gate.
+
+    ``sites[0]`` is the gate's leading tensor factor.  The gate tensored
+    with the identity on the other spins has its row and column axes in
+    the order ``sites + rest``; permuting them to site order embeds it.
+    """
     matrix = np.asarray(matrix, dtype=complex)
-    dim = 2 ** num_spins
-    full = np.zeros((dim, dim), dtype=complex)
     rest = [s for s in range(num_spins) if s not in sites]
-    for col in range(dim):
-        in_bits = [(col >> (num_spins - 1 - s)) & 1 for s in range(num_spins)]
-        sub_col = 0
-        for s in sites:
-            sub_col = (sub_col << 1) | in_bits[s]
-        for sub_row in range(matrix.shape[0]):
-            amp = matrix[sub_row, sub_col]
-            if amp == 0:
-                continue
-            out_bits = list(in_bits)
-            for idx, s in enumerate(reversed(sites)):
-                out_bits[s] = (sub_row >> idx) & 1
-            row = 0
-            for b in out_bits:
-                row = (row << 1) | b
-            full[row, col] += amp
-    return full
+    op = np.kron(matrix, np.eye(2 ** len(rest)))
+    axes = np.argsort(list(sites) + rest)
+    op = op.reshape((2,) * (2 * num_spins))
+    dim = 2 ** num_spins
+    return op.transpose([*axes, *(axes + num_spins)]).reshape(dim, dim)
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,8 @@ class SlaterState:
             raise ValidationError(
                 f"need between 1 and {m} occupied orbitals, got {n}")
         gram = orbitals.conj().T @ orbitals
-        if np.abs(gram - np.eye(n)).max() > HERMITICITY_ATOL:
+        # Negated so that a NaN entry fails the test as well.
+        if not np.abs(gram - np.eye(n)).max() <= HERMITICITY_ATOL:
             raise ValidationError("orbitals are not orthonormal")
         self.orbitals = orbitals
 
@@ -158,7 +159,7 @@ def _one_body_total(ham, xc):
     if xc.shape != h.shape:
         raise ValidationError(f"xc matrix must have shape {h.shape}")
     scale = max(1.0, float(np.abs(xc).max()))
-    if np.abs(xc - xc.conj().T).max() > HERMITICITY_ATOL * scale:
+    if not np.abs(xc - xc.conj().T).max() <= HERMITICITY_ATOL * scale:
         raise ValidationError("xc matrix is not Hermitian")
     return h + xc
 

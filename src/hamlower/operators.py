@@ -135,20 +135,39 @@ class PauliTerm:
             seen.add(site)
         object.__setattr__(self, "factors", tuple(sorted(factors)))
 
+    @classmethod
+    def prevalidated(cls, coefficient, factors: tuple) -> "PauliTerm":
+        """A term on ``factors`` that are already a valid, site-sorted tuple.
+
+        For factors taken from validated terms or gadgets; only the new
+        coefficient is checked (it must be finite).
+        """
+        c = float(coefficient)
+        if not math.isfinite(c):
+            raise ValidationError(f"non-finite coefficient {coefficient!r}")
+        term = object.__new__(cls)
+        object.__setattr__(term, "coefficient", c)
+        object.__setattr__(term, "factors", factors)
+        return term
+
     @property
     def weight(self) -> int:
         """Number of non-identity tensor factors (locality of the string)."""
         return len(self.factors)
 
     def max_site(self) -> int:
-        return max((s for s, _ in self.factors), default=-1)
+        return self.factors[-1][0] if self.factors else -1
 
     def scaled(self, factor: float) -> "PauliTerm":
-        return PauliTerm(self.coefficient * factor, self.factors)
+        return PauliTerm.prevalidated(self.coefficient * factor, self.factors)
 
 
 class SpinHamiltonian:
-    """Real linear combination of Pauli strings on ``num_spins`` spins."""
+    """Real linear combination of Pauli strings on ``num_spins`` spins.
+
+    ``canonicalize`` marks its result canonical, so canonicalizing it again
+    (as ``spin_to_text`` and ``==`` do) returns it unchanged.
+    """
 
     drop_tol = 1e-12
 
@@ -163,15 +182,26 @@ class SpinHamiltonian:
                     f"term touches site {t.max_site()} but system has {num_spins} spins")
         self.num_spins = num_spins
         self.terms = terms
+        self._canonical = False
 
     def canonicalize(self) -> "SpinHamiltonian":
-        """Merge duplicate strings, drop tiny ones, sort deterministically."""
+        """Merge duplicate strings, drop tiny ones, sort deterministically.
+
+        A string that occurs once keeps its term object.
+        """
+        if self._canonical:
+            return self
         merged = {}
         for t in self.terms:
-            merged[t.factors] = merged.get(t.factors, 0.0) + t.coefficient
-        kept = [PauliTerm(c, f) for f, c in merged.items() if abs(c) > self.drop_tol]
-        kept.sort(key=lambda t: (t.weight, t.factors))
-        return SpinHamiltonian(self.num_spins, kept)
+            seen = merged.get(t.factors)
+            merged[t.factors] = t if seen is None else PauliTerm.prevalidated(
+                seen.coefficient + t.coefficient, t.factors)
+        kept = [t for t in merged.values() if abs(t.coefficient) > self.drop_tol]
+        kept.sort(key=lambda t: (len(t.factors), t.factors))
+        # Kept terms come from this Hamiltonian, so they fit its spins.
+        out = object.__new__(SpinHamiltonian)
+        out.num_spins, out.terms, out._canonical = self.num_spins, tuple(kept), True
+        return out
 
     def __add__(self, other: "SpinHamiltonian") -> "SpinHamiltonian":
         if not isinstance(other, SpinHamiltonian):
@@ -339,8 +369,9 @@ def low_spectrum(h: SpinHamiltonian, k: int) -> np.ndarray:
     for t in h.terms:
         if t.factors:
             index = local[t.factors[0][0]][0]
-            blocks[index].append(
-                PauliTerm(t.coefficient, [(local[s][1], a) for s, a in t.factors]))
+            # Positions keep the site order, so the factors stay sorted.
+            blocks[index].append(PauliTerm.prevalidated(
+                t.coefficient, tuple((local[s][1], a) for s, a in t.factors)))
     low = np.zeros(1)
     for sites, terms in zip(components, blocks):
         vals = _block_low_spectrum(SpinHamiltonian(len(sites), terms), k)

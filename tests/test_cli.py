@@ -99,6 +99,16 @@ class TestCompile:
              "--output", str(tmp_path / "b.txt")], capsys)
         assert body_lines(first) == body_lines(second)
 
+    def test_every_stage_has_a_wall_line(self, tmp_path, capsys):
+        src = tmp_path / "src.txt"
+        src.write_text(SOURCE_TEXT)
+        _, report, _ = run(
+            ["compile", str(src), "--precision", "0.5",
+             "--output", str(tmp_path / "p.txt")], capsys)
+        stages = [line.split()[2] for line in report.splitlines()
+                  if line.startswith("# wall ")]
+        assert stages == ["parse", "compile", "write"]
+
     def test_overlarge_coupling_is_a_usage_error(self, tmp_path, capsys):
         src = tmp_path / "src.txt"
         src.write_text("spins 2\n1.5 X@0 Y@1\n")

@@ -6,7 +6,10 @@ the oracle tests realize penalty + slot couplings exactly and compare the
 low spectrum against the second-order model.
 """
 
+import hashlib
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -288,6 +291,13 @@ class TestGadgetValidation:
         with pytest.raises(ValidationError):
             self.good(layer="melt")
 
+    def test_negative_indices_are_rejected(self):
+        # gadget_hamiltonian builds its terms from these indices unchecked.
+        with pytest.raises(ValidationError, match="negative site"):
+            self.good(slots={"X": ((-1, "X", 1.0),)})
+        with pytest.raises(ValidationError, match="negative mediator"):
+            self.good(mediator=-2)
+
     def test_third_axis(self):
         assert third_axis("X", "Y") == "Z"
         assert third_axis("Z", "X") == "Y"
@@ -465,6 +475,43 @@ class TestCompile:
         src = SpinHamiltonian(3, [PauliTerm(0.5, [(0, "X"), (1, "Y")]),
                                   PauliTerm(0.125, [(0, "Z"), (2, "Z")])])
         assert gadgets.compile(src, 0.7) == gadgets.compile(src, 0.7)
+
+    def test_plan_text_is_frozen(self):
+        # Plans must stay byte-identical across releases for the same source;
+        # any moved bit in the plan changes this digest.
+        text = plan_to_text(gadgets.compile(seeded_mixed_source(), 0.5))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "3a54c43a72329ed237475a00c666345e0a79f97bcd033e916407a66ca6f72f2d")
+
+    def test_one_coefficient_set_per_splitting_angle(self, monkeypatch):
+        calls = []
+        original = gadgets.mediator_coefficients
+
+        def counted(theta, phi):
+            calls.append((theta, phi))
+            return original(theta, phi)
+
+        monkeypatch.setattr(gadgets, "mediator_coefficients", counted)
+        src = SpinHamiltonian(4, [PauliTerm(0.5, [(0, "X"), (1, "Y")]),
+                                  PauliTerm(-0.25, [(1, "Z"), (2, "X")]),
+                                  PauliTerm(0.75, [(2, "Y"), (3, "Z")])])
+        plan = gadgets.compile(src, 0.5)
+        assert len(plan.gadgets) == 21
+        # Three entangler angles plus at most the three frozen angles.
+        assert len(calls) == len(set(calls)) <= 6
+
+
+def seeded_mixed_source(seed=6, spins=8, couplings=6):
+    """Distinct mixed-axis couplings plus fields on even sites, from ``seed``."""
+    rng = random.Random(seed)
+    terms = {}
+    while len(terms) < couplings:
+        i, j = sorted(rng.sample(range(spins), 2))
+        a, b = rng.sample(AXES, 2)
+        terms.setdefault(((i, a), (j, b)), rng.uniform(-1, 1))
+    for site in range(0, spins, 2):
+        terms.setdefault(((site, rng.choice(AXES)),), rng.uniform(-1, 1))
+    return SpinHamiltonian(spins, [PauliTerm(c, f) for f, c in terms.items()])
 
 
 class TestVerifyPlan:
@@ -695,6 +742,40 @@ class TestEmbedGate:
         expect = np.zeros(8)
         expect[0b101] = 1.0
         assert np.abs(out - expect).max() < 1e-14
+
+    @pytest.mark.parametrize("num_spins,sites", [
+        (n, sites) for n in (1, 2, 3)
+        for k in (1, 2) for sites in itertools.permutations(range(n), k)])
+    def test_matches_per_column_reference(self, num_spins, sites):
+        rng = np.random.default_rng(len(sites) * 10 + num_spins)
+        dim = 2 ** len(sites)
+        gate = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert np.array_equal(embed_gate(gate, sites, num_spins),
+                              embed_gate_reference(gate, sites, num_spins))
+
+
+def embed_gate_reference(matrix, sites, num_spins):
+    """The per-column loop embed_gate used before its tensor permutation."""
+    matrix = np.asarray(matrix, dtype=complex)
+    dim = 2 ** num_spins
+    full = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        in_bits = [(col >> (num_spins - 1 - s)) & 1 for s in range(num_spins)]
+        sub_col = 0
+        for s in sites:
+            sub_col = (sub_col << 1) | in_bits[s]
+        for sub_row in range(matrix.shape[0]):
+            amp = matrix[sub_row, sub_col]
+            if amp == 0:
+                continue
+            out_bits = list(in_bits)
+            for idx, s in enumerate(reversed(sites)):
+                out_bits[s] = (sub_row >> idx) & 1
+            row = 0
+            for b in out_bits:
+                row = (row << 1) | b
+            full[row, col] += amp
+    return full
 
 
 class TestHistory:

@@ -184,6 +184,10 @@ class TestSlaterState:
         with pytest.raises(ValidationError):
             SlaterState(np.zeros((3, 0)))
 
+    def test_nan_orbitals_are_rejected(self):
+        with pytest.raises(ValidationError, match="orthonormal"):
+            SlaterState([[np.nan], [0.0], [0.0]])
+
 
 class TestWickEnergy:
     @pytest.mark.parametrize("seed,modes,particles", [
@@ -224,6 +228,16 @@ class TestWickEnergy:
             hartree_fock_energy(shifted, state), abs=1e-12)
         with pytest.raises(ValidationError):
             hartree_fock_energy(ham, state, xc=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+    def test_xc_matrix_with_nan_is_rejected(self, entry):
+        rng = np.random.default_rng(11)
+        ham = random_hamiltonian(rng, 4)
+        state = random_state(rng, 4, 2)
+        xc = np.diag([1.0, 2.0, 3.0, 4.0])
+        xc[entry] = np.nan
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            hartree_fock_energy(ham, state, xc=xc)
 
 
 class TestFockMatrix:

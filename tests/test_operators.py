@@ -222,6 +222,17 @@ class TestPauliAlgebra:
             PauliTerm(1.5, [(0, "Z"), (1, "X")]),
         )
 
+    def test_scaled_overflow_is_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            PauliTerm(1e308, [(0, "X")]).scaled(10.0)
+
+    def test_canonical_form_is_kept(self):
+        h = SpinHamiltonian(2, [PauliTerm(1.0, [(1, "X")]),
+                                PauliTerm(0.5, [(0, "Z")])]).canonicalize()
+        assert h.canonicalize() is h
+        scaled = h.scaled(2.0)
+        assert scaled.canonicalize() is not scaled
+
     def test_addition_cancels(self):
         a = SpinHamiltonian(1, [PauliTerm(1.0, [(0, "X")])])
         b = SpinHamiltonian(1, [PauliTerm(-1.0, [(0, "X")])])
@@ -438,6 +449,16 @@ class TestTextFormats:
             PauliTerm(-1.25, [(1, "Z")]),
         ])
         assert spin_from_text(spin_to_text(h)) == h
+
+    def test_canonical_text_matches_raw_unsorted_terms(self):
+        raw = [PauliTerm(0.25, [(2, "Y")]), PauliTerm(-1.5, [(0, "X"), (2, "Z")]),
+               PauliTerm(0.75, []), PauliTerm(0.5, [(1, "Z")]),
+               PauliTerm(0.125, [(2, "Z"), (0, "X")]), PauliTerm(1e-13, [(0, "Y")])]
+        canonical = SpinHamiltonian(3, raw).canonicalize()
+        text = spin_to_text(canonical)
+        assert text == spin_to_text(SpinHamiltonian(3, raw))
+        assert text == spin_to_text(SpinHamiltonian(3, raw[::-1]))
+        assert text == ("spins 3\n0.75\n0.5 Z@1\n0.25 Y@2\n-1.375 X@0 Z@2\n")
 
     def test_spin_parse_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="line 2"):
