@@ -146,6 +146,8 @@ def cmd_hubbard_check(args) -> int:
     report = Report("hubbard-check", text)
     start = time.perf_counter()
     model = hubbard_from_text(text)
+    report.wall("parse", time.perf_counter() - start)
+    start = time.perf_counter()
     check = verify_exchange(model)
     report.wall("exchange", time.perf_counter() - start)
     report.add("sites", model.sites)
@@ -165,6 +167,8 @@ def cmd_scf(args) -> int:
     report = Report("scf", text)
     start = time.perf_counter()
     ham = second_quantized_from_text(text)
+    report.wall("parse", time.perf_counter() - start)
+    start = time.perf_counter()
     result = scf_solve(ham, args.particles, restarts=args.restarts,
                        seed=args.seed)
     report.wall("scf", time.perf_counter() - start)

@@ -204,6 +204,14 @@ class ExchangeReport:
     splitting_closed_form: float
 
 
+def _real_if_real(matrix: np.ndarray) -> np.ndarray:
+    """``matrix.real`` unless an imaginary part exceeds 1e-12.
+
+    Hopping is always real; only a Y field gives ``h0`` imaginary entries.
+    """
+    return matrix if np.abs(matrix.imag).max() > 1e-12 else matrix.real
+
+
 def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     """Derive the half-filling effective model and compare to the closed form.
 
@@ -216,20 +224,16 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     """
     check_regime(model)
     sector = half_filling_sector(model)
-    h0 = realize_fermion(interaction_operator(model), sector)
-    v = realize_fermion(hopping_operator(model), sector)
-    if np.abs(h0.imag).max() > 1e-12 or np.abs(v.imag).max() > 1e-12:
-        h0_r, v_r = h0, v
-    else:
-        h0_r, v_r = h0.real, v.real
+    h0 = _real_if_real(realize_fermion(interaction_operator(model), sector))
+    v = _real_if_real(realize_fermion(hopping_operator(model), sector))
     columns = singly_occupied_projector(sector, model.sites)
-    result = sw.effective_hamiltonian(h0_r, v_r, 1.0, low_columns=columns)
-    first_order = columns.T @ v_r @ columns
+    result = sw.effective_hamiltonian(h0, v, 1.0, low_columns=columns)
+    first_order = columns.T @ v @ columns
     closed = realize_spin(heisenberg_from_hubbard(model))
     measured = float(np.abs(result.h_eff - closed).max())
     if tolerance is None:
         tolerance = exchange_error_budget(model)
-    exact = eig_values(h0_r + v_r)
+    exact = eig_values(h0 + v)
     # Singlet-triplet splitting of the first edge's pure-exchange prediction;
     # only meaningful without fields, reported regardless.
     derived = float(exact[1] - exact[0]) if exact.size > 1 else 0.0

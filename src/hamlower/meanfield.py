@@ -36,13 +36,17 @@ from .operators import (
     LineReader,
     eig_hermitian,
     eig_values,
-    realize_fermion,
+    excitation_table,
+    realize_fermion,  # unused here; perfbench/spans.py traces meanfield.realize_fermion
 )
 
 HERMITICITY_ATOL = 1e-10
 
 # C(12, 6) = 924; larger sectors make dense exact references too slow.
 MAX_EXACT_DIMENSION = 5000
+# Source states per chunk of the two-body sector build; larger chunks gain
+# nothing once numpy's per-call overhead is amortized.
+MAX_CHUNK_STATES = 256
 
 
 class SecondQuantizedHamiltonian:
@@ -111,6 +115,48 @@ def fermionic_operator(ham: SecondQuantizedHamiltonian) -> FermionOperator:
     return FermionOperator(m, terms).normal_order()
 
 
+def _accumulate(out, flat, values):
+    """``out.flat[flat] += values`` with repeated indices summed."""
+    size = out.size
+    out.real += np.bincount(flat.ravel(), values.real.ravel(), size).reshape(out.shape)
+    out.imag += np.bincount(flat.ravel(), values.imag.ravel(), size).reshape(out.shape)
+
+
+def sector_matrix(ham: SecondQuantizedHamiltonian, sector: FockSector) -> np.ndarray:
+    """Matrix of ``ham`` on a fixed-particle-number sector, from its tensors.
+
+    With ``E_pq = a+_p a_q``, ``a+_i a+_j a_k a_l = E_il E_jk - delta_jl E_ik``,
+    so ``H = sum_ik (h_ik - 1/2 sum_j w_ijkj) E_ik
+    + 1/2 sum_ijkl w_ijkl E_il E_jk``.  Both sums read one
+    ``excitation_table`` of the sector: the two-body term applies ``E_jk``
+    and then ``E_il`` to every source state.  Source states go in chunks of
+    at most ``MAX_CHUNK_STATES``, and of few enough states that a chunk's
+    ``(states, P, P)`` index arrays hold no more entries than the output
+    matrix (one state at least).
+    """
+    if ham.num_modes != sector.num_modes:
+        raise ValidationError(
+            f"Hamiltonian on {ham.num_modes} modes, sector has {sector.num_modes}")
+    m = ham.num_modes
+    dim = sector.dimension
+    pairs, targets, signs = excitation_table(sector)
+    out = np.zeros((dim, dim), dtype=complex)
+    one_body = ham.one_body - 0.5 * np.einsum("ijkj->ik", ham.two_body)
+    cols = np.arange(dim)[:, None]
+    _accumulate(out, targets * dim + cols, one_body.reshape(-1)[pairs] * signs)
+    # w_ijkl at [i*m + l, j*m + k]: row pair of E_il, column pair of E_jk
+    two_body = 0.5 * ham.two_body.transpose(0, 3, 1, 2).reshape(m * m, m * m)
+    per_state = max(1, pairs.shape[1]) ** 2
+    chunk = max(1, min(MAX_CHUNK_STATES, dim * dim // per_state))
+    for start in range(0, dim, chunk):
+        rows = slice(start, start + chunk)
+        middle = targets[rows]              # (states, P): E_jk applied
+        values = two_body[pairs[middle], pairs[rows, :, None]]
+        values *= signs[rows, :, None] * signs[middle]
+        _accumulate(out, targets[middle] * dim + cols[rows, :, None], values)
+    return out
+
+
 def exact_ground_energy(ham: SecondQuantizedHamiltonian, num_particles: int) -> float:
     """Lowest eigenvalue in the fixed-particle-number sector."""
     sector = FockSector(ham.num_modes, num_particles)
@@ -118,8 +164,7 @@ def exact_ground_energy(ham: SecondQuantizedHamiltonian, num_particles: int) -> 
         raise ResourceLimitError(
             f"sector dimension {sector.dimension} exceeds the exact cap "
             f"{MAX_EXACT_DIMENSION}")
-    matrix = realize_fermion(fermionic_operator(ham), sector)
-    return float(eig_values(matrix)[0])
+    return float(eig_values(sector_matrix(ham, sector))[0])
 
 
 class SlaterState:

@@ -576,6 +576,36 @@ def realize_fermion(op: FermionOperator, sector: FockSector) -> np.ndarray:
     return out
 
 
+def excitation_table(sector: FockSector):
+    """Every nonzero single excitation ``E_pq = a+_p a_q`` of every sector state.
+
+    Returns ``(pairs, targets, signs)``, each of shape ``(dim, P)``: under
+    ``E_pq`` with ``p * num_modes + q == pairs[s, x]``, state ``s`` goes to
+    ``signs[s, x]`` times state ``targets[s, x]``.  Every state has the same
+    ``P = n (M - n + 1)`` excitations for ``n`` particles on ``M`` modes:
+    ``n_q`` for each occupied ``q`` and a hop from each occupied ``q`` to
+    each empty ``p``.  Masks and signs follow ``realize_fermion``.
+    """
+    m = sector.num_modes
+    dim = sector.dimension
+    states = np.array(sector.states, dtype=np.int64)[:, None, None]
+    q_bit = m - 1 - np.arange(m)            # (q,) bit of mode q
+    p_bit = q_bit[:, None]                  # (p, 1)
+    # a_q first, then a+_p, each signed by the occupied modes to its left
+    alive = ((states >> q_bit) & 1) == 1
+    odd = np.bitwise_count(states >> (q_bit + 1))
+    state = states ^ (1 << q_bit)
+    alive = alive & (((state >> p_bit) & 1) == 0)
+    odd = odd + np.bitwise_count(state >> (p_bit + 1))
+    state = state | (1 << p_bit)
+    source, pq = np.nonzero(alive.reshape(dim, m * m))
+    # sector.states is descending; searchsorted needs it ascending, and the
+    # excitations conserve particle number, so every target is in the sector
+    found = np.searchsorted(states[::-1, 0, 0], state.reshape(dim, -1)[source, pq])
+    signs = np.where(odd.reshape(dim, -1)[source, pq] & 1, -1.0, 1.0)
+    return pq.reshape(dim, -1), (dim - 1 - found).reshape(dim, -1), signs.reshape(dim, -1)
+
+
 def default_site_modes(site: int):
     """Spinful lattice convention: site i holds modes (2i up, 2i+1 down)."""
     return 2 * site, 2 * site + 1

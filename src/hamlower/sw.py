@@ -10,6 +10,10 @@ with ``Ebar`` the trace average of the low block.  When the low block is not
 exactly degenerate the centering on ``Ebar`` is an approximation; the spread
 of the low block is reported and a warning fires once it exceeds a tenth of
 the gap.  All formulas are invariant under a constant shift of ``H0``.
+
+Every block is taken in the split's own coordinates.  When the low columns
+are unit coordinate vectors the blocks are index slices; any other basis
+costs one rotation product.  Real inputs stay real throughout.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DegeneracyError, RegimeError, ValidationError
-from .operators import eig_hermitian, eig_values
+from .operators import _checked_hermitian, eig_hermitian, eig_values
 
 # An eigenvalue this close (relative to the spectral scale) to the threshold
 # means the split would cut through a near-degenerate multiplet.
@@ -37,11 +41,13 @@ BLOCK_RTOL = 1e-10
 class BlockSplit:
     """Partition of a Hermitian matrix into a low block and its complement.
 
-    ``low_projector`` and ``high_projector`` are orthonormal column bases.
-    The diagonal blocks ``h0_low`` / ``h0_high`` are expressed on those
-    columns and are Hermitian but not necessarily diagonal: the
-    explicit-columns path keeps the caller's basis so downstream elementwise
-    comparisons stay meaningful.
+    ``low_projector`` and ``high_projector`` are orthonormal column bases,
+    and the diagonal blocks ``h0_low`` / ``h0_high`` are ``h0`` expressed on
+    them: Hermitian, diagonal up to rounding on the threshold path (an
+    eigenbasis), and in the caller's basis on the explicit-columns path, so
+    downstream elementwise comparisons stay meaningful.  ``rows`` is
+    ``(low_rows, high_rows)`` when both bases are unit coordinate vectors:
+    column ``c`` of ``low_projector`` is then coordinate ``low_rows[c]``.
     """
 
     low_projector: np.ndarray
@@ -51,10 +57,30 @@ class BlockSplit:
     gap: float
     e_bar: float
     spread: float
+    rows: tuple | None = None
 
     @property
     def low_dim(self) -> int:
         return self.low_projector.shape[1]
+
+    def blocks(self, m):
+        """``m``'s (low-low, low-high, high-high) blocks in this split's basis."""
+        return _blocks(m, self.low_projector, self.high_projector, self.rows)
+
+
+def _blocks(m, low, high, rows):
+    """(low-low, low-high, high-high) blocks of ``m`` on the bases ``low``, ``high``.
+
+    Coordinate bases (``rows`` given) are index slices; any other basis
+    takes one rotation product.
+    """
+    if rows is not None:
+        lo, hi = rows
+        return m[np.ix_(lo, lo)], m[np.ix_(lo, hi)], m[np.ix_(hi, hi)]
+    k = low.shape[1]
+    basis = np.hstack([low, high])
+    rotated = basis.conj().T @ m @ basis
+    return rotated[:k, :k], rotated[:k, k:], rotated[k:, k:]
 
 
 def _block_stats(low_vals, high_vals):
@@ -66,13 +92,33 @@ def _block_stats(low_vals, high_vals):
     return gap, e_bar, spread
 
 
-def _complement(low: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of orthonormal ``low``.
+def _column_bases(low_columns, dim):
+    """``(low, high, rows)`` for caller-supplied orthonormal low columns.
 
-    The columns are orthonormal, so their rank is exactly ``k`` and the last
-    ``dim - k`` columns of a complete QR factor span the complement.
+    When every column is a unit coordinate vector, ``high`` is the remaining
+    unit vectors in ascending order and ``rows`` their indices; otherwise
+    ``high`` is the last ``dim - k`` columns of a complete QR factor, which
+    span the complement because the ``k`` columns are orthonormal, and
+    ``rows`` is None.
     """
-    return np.linalg.qr(low, mode="complete")[0][:, low.shape[1]:]
+    low = np.asarray(low_columns)
+    if low.ndim != 2 or low.shape[0] != dim:
+        raise ValidationError(
+            f"low_columns shape {low.shape} does not match h0 {(dim, dim)}")
+    k = low.shape[1]
+    if not 0 < k < dim:
+        raise ValidationError("low_columns must span a proper nonzero subspace")
+    if not np.abs(low.conj().T @ low - np.eye(k)).max() <= 1e-10:
+        raise ValidationError("low_columns must be orthonormal")
+    # Orthonormal columns with one nonzero entry each, all equal to 1, are
+    # distinct unit vectors; nonzero() on the transpose lists them by column.
+    cols, low_rows = np.nonzero(low.T)
+    if cols.size == k and np.all(low[low_rows, cols] == 1):
+        high_rows = np.setdiff1d(np.arange(dim), low_rows)
+        high = np.zeros((dim, dim - k))
+        high[high_rows, np.arange(dim - k)] = 1.0
+        return low, high, (low_rows, high_rows)
+    return low, np.linalg.qr(low, mode="complete")[0][:, k:], None
 
 
 def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
@@ -82,9 +128,14 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
     ``threshold`` and refuses to cut within ``DEGENERACY_RTOL`` (relative to
     the spectral scale) of any eigenvalue.  The column path checks the given
     columns are orthonormal and span an invariant subspace lying strictly
-    below its complement; it needs eigenvalues only.
+    below its complement; it needs the eigenvalues of the two diagonal
+    blocks only, which also set the scale of the invariance check.
     """
-    h0 = np.asarray(h0, dtype=complex)
+    return _split(_checked_hermitian(h0), threshold, low_columns)[0]
+
+
+def _split(h0, threshold, low_columns):
+    """``split_blocks`` of a checked ``h0``, plus its low-high block."""
     if (threshold is None) == (low_columns is None):
         raise ValidationError("pass exactly one of threshold or low_columns")
     if threshold is not None:
@@ -101,33 +152,21 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
             raise DegeneracyError(f"no eigenvalue below threshold {t:g}")
         if mask.all():
             raise DegeneracyError(f"no eigenvalue above threshold {t:g}")
-        low = spec.vectors[:, mask]
-        high = spec.vectors[:, ~mask]
-        low_vals = spec.values[mask]
-        high_vals = spec.values[~mask]
-        h0_low = np.diag(low_vals).astype(complex)
-        h0_high = np.diag(high_vals).astype(complex)
+        low, high, rows = spec.vectors[:, mask], spec.vectors[:, ~mask], None
+        h0_low, cross, h0_high = _blocks(h0, low, high, rows)
+        low_vals, high_vals = spec.values[mask], spec.values[~mask]
     else:
-        scale = max(1.0, float(np.abs(eig_values(h0)).max()))
-        low = np.asarray(low_columns, dtype=complex)
-        if low.ndim != 2 or low.shape[0] != h0.shape[0]:
-            raise ValidationError(
-                f"low_columns shape {low.shape} does not match h0 {h0.shape}")
-        if not 0 < low.shape[1] < h0.shape[0]:
-            raise ValidationError("low_columns must span a proper nonzero subspace")
-        if np.abs(low.conj().T @ low - np.eye(low.shape[1])).max() > 1e-10:
-            raise ValidationError("low_columns must be orthonormal")
-        high = _complement(low)
-        cross = high.conj().T @ (h0 @ low)
-        if np.abs(cross).max() > BLOCK_RTOL * scale:
+        low, high, rows = _column_bases(low_columns, h0.shape[0])
+        h0_low, cross, h0_high = _blocks(h0, low, high, rows)
+        low_vals, high_vals = eig_values(h0_low), eig_values(h0_high)
+        scale = max(1.0, float(np.abs(low_vals).max()),
+                    float(np.abs(high_vals).max()))
+        # Negated so that a NaN entry fails the test as well.
+        if not np.abs(cross).max() <= BLOCK_RTOL * scale:
             raise ValidationError(
                 "low_columns do not span an invariant subspace of h0")
-        h0_low = low.conj().T @ h0 @ low
-        h0_high = high.conj().T @ h0 @ high
-        low_vals = eig_values(h0_low)
-        high_vals = eig_values(h0_high)
     gap, e_bar, spread = _block_stats(low_vals, high_vals)
-    return BlockSplit(low, high, h0_low, h0_high, gap, e_bar, spread)
+    return BlockSplit(low, high, h0_low, h0_high, gap, e_bar, spread, rows), cross
 
 
 @dataclass(frozen=True)
@@ -156,22 +195,18 @@ class SWResult:
 
 
 def _checked_pair(h, v):
-    """``h`` and ``v`` as complex arrays of one shape, ``v`` Hermitian."""
-    h = np.asarray(h, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    """``h`` and ``v`` as Hermitian arrays of one shape, real ones kept real."""
+    h = _checked_hermitian(h)
+    v = _checked_hermitian(v)
     if v.shape != h.shape:
         raise ValidationError(f"v shape {v.shape} does not match h {h.shape}")
-    vscale = max(1.0, float(np.abs(v).max()))
-    if np.abs(v - v.conj().T).max() > 1e-10 * vscale:
-        raise ValidationError("v is not Hermitian within tolerance")
     return h, v
 
 
-def _check_block_diagonal(h, split):
-    low, high = split.low_projector, split.high_projector
+def _check_block_diagonal(h, cross):
+    """Refuse an ``h`` whose low-high block ``cross`` is not negligible."""
     hscale = max(1.0, float(np.abs(h).max()))
-    cross = high.conj().T @ (h @ low)
-    if np.abs(cross).max() > BLOCK_RTOL * hscale:
+    if not np.abs(cross).max() <= BLOCK_RTOL * hscale:
         raise ValidationError("h is not block diagonal in the split basis")
 
 
@@ -181,10 +216,8 @@ def _split_ingredients(h, split):
     Checks that ``h`` is block diagonal in the split basis; returns
     ``(h_low, h_high, gap, e_bar, spread)``.
     """
-    _check_block_diagonal(h, split)
-    low, high = split.low_projector, split.high_projector
-    h_low = low.conj().T @ h @ low
-    h_high = high.conj().T @ h @ high
+    h_low, cross, h_high = split.blocks(h)
+    _check_block_diagonal(h, cross)
     gap, e_bar, spread = _block_stats(eig_values(h_low), eig_values(h_high))
     return h_low, h_high, gap, e_bar, spread
 
@@ -200,15 +233,12 @@ def _x_blocks(split, h_low, h_high, e_bar, v, order):
     ``A`` inverts the centered high block and ``H0`` is the centered low
     block; X2 is zero at order 1.
     """
-    low, high = split.low_projector, split.high_projector
-    hc = h_high - e_bar * np.eye(high.shape[1])
-    v01 = low.conj().T @ v @ high
+    v00, v01, v11 = split.blocks(v)
+    hc = h_high - e_bar * np.eye(h_high.shape[0])
     y = _right_inverse(v01, hc)
     if order == 1:
         return -y, np.zeros_like(y)
-    h0c = h_low - e_bar * np.eye(low.shape[1])
-    v00 = low.conj().T @ v @ low
-    v11 = high.conj().T @ v @ high
+    h0c = h_low - e_bar * np.eye(h_low.shape[0])
     return -y, _right_inverse(y @ v11 - (h0c + v00) @ y, hc)
 
 
@@ -260,8 +290,8 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, split=None,
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order!r}")
     if split is None:
-        split = split_blocks(h, threshold=threshold, low_columns=low_columns)
-        _check_block_diagonal(h, split)
+        split, cross = _split(h, threshold, low_columns)
+        _check_block_diagonal(h, cross)
         h_low, h_high = split.h0_low, split.h0_high
         gap, e_bar, spread = split.gap, split.e_bar, split.spread
     elif threshold is not None or low_columns is not None:
@@ -279,11 +309,10 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, split=None,
             f"low-block spread {spread:.3g} exceeds gap/10 = {gap / 10:.3g}; "
             "second-order accuracy degrades",
             stacklevel=2)
-    low, high = split.low_projector, split.high_projector
-    h_eff = h_low + epsilon * (low.conj().T @ v @ low)
+    v00, v01, _ = split.blocks(v)
+    h_eff = h_low + epsilon * v00
     if order == 2:
-        v01 = low.conj().T @ v @ high
-        hc = h_high - e_bar * np.eye(high.shape[1])
+        hc = h_high - e_bar * np.eye(h_high.shape[0])
         h_eff = h_eff - epsilon ** 2 * (v01 @ np.linalg.solve(hc, v01.conj().T))
         error_budget = epsilon ** 3 * v_norm ** 3 / gap ** 2
     else:

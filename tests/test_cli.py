@@ -186,6 +186,14 @@ class TestHubbardCheck:
         assert field(report, "splitting-closed-form") == "0.04"
         assert field(report, "result") == "pass"
 
+    def test_every_stage_has_a_wall_line(self, tmp_path, capsys):
+        path = tmp_path / "hub.txt"
+        path.write_text(hubbard_to_text(HubbardModel(2, 1.0, 100.0, ((0, 1),))))
+        _, report, _ = run(["hubbard-check", str(path)], capsys)
+        stages = [line.split()[2] for line in report.splitlines()
+                  if line.startswith("# wall ")]
+        assert stages == ["parse", "exchange"]
+
     def test_out_of_regime_fails_with_exit_one(self, tmp_path, capsys):
         path = tmp_path / "hub.txt"
         path.write_text(hubbard_to_text(HubbardModel(2, 1.0, 5.0, ((0, 1),))))
@@ -230,6 +238,15 @@ class TestScf:
         _, first, _ = run(argv, capsys)
         _, second, _ = run(argv, capsys)
         assert body_lines(first) == body_lines(second)
+
+    def test_every_stage_has_a_wall_line(self, tmp_path, capsys):
+        path = tmp_path / "sq.txt"
+        path.write_text(second_quantized_to_text(small_interacting_instance()))
+        _, report, _ = run(
+            ["scf", str(path), "--particles", "2", "--restarts", "2"], capsys)
+        stages = [line.split()[2] for line in report.splitlines()
+                  if line.startswith("# wall ")]
+        assert stages == ["parse", "scf"]
 
     def test_non_convergence_exits_one(self, tmp_path, capsys):
         # The spin-glass embedding keeps the density oscillating between

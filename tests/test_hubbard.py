@@ -28,7 +28,7 @@ from hamlower.hubbard import (
     singlet_triplet_splitting,
     verify_exchange,
 )
-from hamlower import hubbard
+from hamlower import hubbard, sw
 from hamlower.operators import (
     AXES,
     FermionOperator,
@@ -36,6 +36,7 @@ from hamlower.operators import (
     SpinHamiltonian,
     default_site_modes,
     eig_hermitian,
+    eig_values,
     fermion_from_monomial,
     jordan_map_spin_to_fermion,
     realize_fermion,
@@ -248,6 +249,42 @@ class TestVerifyExchange:
     def test_regime_guard_applies(self):
         with pytest.raises(RegimeError):
             verify_exchange(HubbardModel(2, 1.0, 5.0, ((0, 1),)))
+
+    def test_index_split_solves_four_matrices_and_no_qr(self, monkeypatch):
+        solved = []
+
+        def counted(matrix):
+            solved.append(np.shape(matrix))
+            return eig_values(matrix)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("QR factorization on the index split")
+
+        monkeypatch.setattr(sw, "eig_values", counted)
+        monkeypatch.setattr(hubbard, "eig_values", counted)
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        ring = BUILD_MODELS["ring"]
+        xyz = HubbardModel(ring.sites, ring.t, ring.u, ring.edges,
+                           ((0.01, 0.02, -0.03), (0.0, -0.01, 0.02),
+                            (0.03, 0.01, 0.0), (-0.02, 0.0, 0.01)))
+        assert verify_exchange(xyz).passed
+        # low block, high block, v, h0 + v on the 70-state sector
+        assert solved == [(16, 16), (54, 54), (70, 70), (70, 70)]
+
+    @pytest.mark.parametrize("name", sorted(BUILD_MODELS))
+    def test_split_keeps_hopping_real(self, name, monkeypatch):
+        seen = []
+        original = sw.effective_hamiltonian
+
+        def spy(h, v, *args, **kwargs):
+            seen.append((np.iscomplexobj(h), np.iscomplexobj(v)))
+            return original(h, v, *args, **kwargs)
+
+        monkeypatch.setattr(sw, "effective_hamiltonian", spy)
+        model = BUILD_MODELS[name]
+        assert verify_exchange(model).passed
+        y_field = any(row[1] != 0.0 for row in model.fields)
+        assert seen == [(y_field, False)]
 
 
 class TestLowering:

@@ -10,6 +10,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hamlower import meanfield
 
 from hamlower.errors import ParseError, ResourceLimitError, ValidationError
 from hamlower.meanfield import (
@@ -36,9 +40,11 @@ from hamlower.meanfield import (
     scf_solve,
     second_quantized_from_text,
     second_quantized_to_text,
+    sector_matrix,
     _haar_orbitals,
 )
 from hamlower.operators import (
+    FermionOperator,
     FockSector,
     eig_hermitian,
     realize_fermion,
@@ -332,6 +338,62 @@ class TestSCF:
         big = SecondQuantizedHamiltonian(np.eye(16))
         with pytest.raises(ResourceLimitError):
             exact_ground_energy(big, 8)
+
+
+@st.composite
+def sector_instances(draw):
+    """A complex instance of up to 6 modes, a particle number, and its sector.
+
+    ``pattern`` keeps every two-body entry, a random fifth of them, or only
+    those with i == j or k == l (whose operators vanish).
+    """
+    modes = draw(st.integers(1, 6))
+    particles = draw(st.integers(0, modes))
+    pattern = draw(st.sampled_from(["dense", "sparse", "repeated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    w = rng.normal(size=(modes,) * 4) + 1j * rng.normal(size=(modes,) * 4)
+    if pattern == "sparse":
+        w = w * (rng.random(w.shape) < 0.2)
+    elif pattern == "repeated":
+        i, j, k, l = np.indices(w.shape)
+        w = w * ((i == j) | (k == l))
+    h = (h + h.conj().T) / 2
+    w = (w + w.conj().transpose(3, 2, 1, 0)) / 2
+    return SecondQuantizedHamiltonian(h, w), FockSector(modes, particles)
+
+
+class TestSectorMatrix:
+    """The tensor-built sector matrix against the normal-ordered operator."""
+
+    @given(sector_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_realized_operator(self, instance):
+        ham, sector = instance
+        want = realize_fermion(fermionic_operator(ham), sector)
+        assert np.abs(sector_matrix(ham, sector) - want).max(initial=0.0) <= 1e-12
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(meanfield, "MAX_CHUNK_STATES", 1)
+            got = sector_matrix(ham, sector)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+    def test_exact_energy_reads_the_tensors_only(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("operator expanded")
+
+        ham = random_hamiltonian(np.random.default_rng(5), 5)
+        matrix = realize_fermion(fermionic_operator(ham), FockSector(5, 2))
+        want = eig_hermitian(matrix).values[0]
+        monkeypatch.setattr(meanfield, "fermionic_operator", refuse)
+        monkeypatch.setattr(meanfield, "realize_fermion", refuse)
+        monkeypatch.setattr(FermionOperator, "normal_order", refuse)
+        monkeypatch.setattr(FermionOperator, "__post_init__", refuse)
+        assert exact_ground_energy(ham, 2) == pytest.approx(want, abs=1e-12)
+
+    def test_rejects_a_sector_of_other_modes(self):
+        ham = random_hamiltonian(np.random.default_rng(6), 3)
+        with pytest.raises(ValidationError):
+            sector_matrix(ham, FockSector(4, 2))
 
 
 class TestRowRestrictedSCF:

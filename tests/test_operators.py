@@ -17,6 +17,7 @@ from hamlower.operators import (
     dense_spin_limit,
     eig_hermitian,
     eig_values,
+    excitation_table,
     fermion_from_monomial,
     fermion_from_text,
     fermion_to_text,
@@ -408,6 +409,24 @@ class TestVectorizedRealization:
             got = realize_fermion(op, sector)
             want = _reference_realize_fermion(op, sector)
             assert np.array_equal(got, want)
+
+
+class TestExcitationTable:
+    @pytest.mark.parametrize("modes", [1, 3, 5])
+    def test_matches_realized_bilinears(self, modes):
+        for particles in range(modes + 1):
+            sector = FockSector(modes, particles)
+            pairs, targets, signs = excitation_table(sector)
+            assert pairs.shape == (sector.dimension,
+                                   particles * (modes - particles + 1))
+            for p in range(modes):
+                for q in range(modes):
+                    got = np.zeros((sector.dimension,) * 2)
+                    source, slot = np.nonzero(pairs == p * modes + q)
+                    got[targets[source, slot], source] = signs[source, slot]
+                    bilinear = fermion_from_monomial(
+                        modes, 1.0, ((p, True), (q, False)))
+                    assert np.array_equal(got, realize_fermion(bilinear, sector))
 
 
 class TestSpinFermionMap:

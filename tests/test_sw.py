@@ -311,6 +311,91 @@ class TestBlockSelection:
             effective_hamiltonian(other, v, 0.1, split=split)
 
 
+def coordinate_instance(rng, dim=10, low_rows=(7, 2, 5, 0)):
+    """Complex h0 whose low block sits on the coordinates ``low_rows``, and v."""
+    perm = list(low_rows) + [r for r in range(dim) if r not in low_rows]
+    k = len(low_rows)
+    u = np.zeros((dim, dim), dtype=complex)
+    u[:k, :k] = haar_unitary(k, rng)
+    u[k:, k:] = haar_unitary(dim - k, rng)
+    e = np.concatenate([rng.uniform(0.0, 0.05, k),
+                        rng.uniform(2.0, 3.0, dim - k)])
+    block = (u * e) @ u.conj().T
+    h0 = np.empty_like(block)
+    h0[np.ix_(perm, perm)] = block
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    v = (z + z.conj().T) / 2
+    return h0, v / np.linalg.norm(v, 2)
+
+
+class TestCoordinateSplit:
+    """Unit-vector columns are sliced; any other basis takes the product path."""
+
+    def test_unordered_columns_keep_the_callers_order(self):
+        rng = np.random.default_rng(41)
+        low_rows = [7, 2, 5, 0]
+        h0, v = coordinate_instance(rng, low_rows=tuple(low_rows))
+        cols = np.eye(10)[:, low_rows]
+        eps = 0.05
+        sliced = effective_hamiltonian(h0, v, eps, low_columns=cols)
+        assert list(sliced.split.rows[0]) == low_rows
+        high_rows = [r for r in range(10) if r not in low_rows]
+        assert list(sliced.split.rows[1]) == high_rows
+        h_low = h0[np.ix_(low_rows, low_rows)]
+        assert np.array_equal(sliced.split.h0_low, h_low)
+        phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi, len(low_rows)))
+        rotated = effective_hamiltonian(h0, v, eps, low_columns=cols * phase)
+        assert rotated.split.rows is None
+        undone = phase[:, None] * rotated.h_eff * phase.conj()[None, :]
+        assert np.abs(undone - sliced.h_eff).max() <= 1e-12
+        e_bar = np.trace(h_low).real / len(low_rows)
+        a = np.linalg.inv(h0[np.ix_(high_rows, high_rows)] - e_bar * np.eye(6))
+        v01 = v[np.ix_(low_rows, high_rows)]
+        want = h_low + eps * v[np.ix_(low_rows, low_rows)] \
+            - eps ** 2 * v01 @ a @ v01.conj().T
+        assert np.abs(sliced.h_eff - want).max() <= 1e-12
+
+    def test_generator_matches_the_product_path(self):
+        rng = np.random.default_rng(43)
+        h0, v = coordinate_instance(rng)
+        cols = np.eye(10)[:, [7, 2, 5, 0]]
+        sliced = effective_hamiltonian(h0, v, 0.05, low_columns=cols)
+        rotated = effective_hamiltonian(h0, v, 0.05, low_columns=-cols)
+        assert rotated.split.rows is None
+        assert np.abs(sliced.generator - rotated.generator).max() <= 1e-12
+
+    @pytest.mark.parametrize("selector", ["columns", "threshold"])
+    def test_real_inputs_give_a_real_h_eff(self, selector):
+        h0 = np.diag([0.0, 0.01, 0.02, 3.0, 4.0, 5.0])
+        rng = np.random.default_rng(47)
+        z = rng.standard_normal((6, 6))
+        v = (z + z.T) / 2
+        chosen = {"columns": {"low_columns": np.eye(6)[:, :3]},
+                  "threshold": {"threshold": 1.0}}[selector]
+        result = effective_hamiltonian(h0, v, 0.05, **chosen)
+        assert result.h_eff.dtype == np.float64
+        assert result.split.h0_high.dtype == np.float64
+
+    @pytest.mark.parametrize("defect", ["asymmetric", "nan"])
+    @pytest.mark.parametrize("phase", [1.0, 1j], ids=["coordinate", "rotated"])
+    def test_bad_h0_in_the_cross_block_is_refused(self, defect, phase):
+        # low rows 0 and 1; the only defect is at (low 0, high 3)
+        h0 = np.diag([0.0, 0.0, 5.0, 7.0]).astype(complex)
+        h0[0, 3] = 0.5 if defect == "asymmetric" else np.nan
+        cols = np.eye(4)[:, :2] * phase
+        v = np.zeros((4, 4))
+        with pytest.raises(ValidationError):
+            split_blocks(h0, low_columns=cols)
+        with pytest.raises(ValidationError):
+            effective_hamiltonian(h0, v, 0.1, low_columns=cols)
+        split = split_blocks(np.diag([0.0, 0.0, 5.0, 7.0]), low_columns=cols)
+        assert (split.rows is None) == (phase != 1.0)
+        with pytest.raises(ValidationError):
+            effective_hamiltonian(h0, v, 0.1, split=split)
+        with pytest.raises(ValidationError):
+            generator_blocks(h0, v, split)
+
+
 class TestGuards:
     def test_regime_error(self):
         h0 = np.diag([0.0, 1.0])
