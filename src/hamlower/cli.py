@@ -77,8 +77,8 @@ class Report:
                  "status", "pass" if passed else "fail")
         self.passed = self.passed and passed
 
-    def spectrum(self, label: str, values, limit: int = SPECTRUM_EXCERPT) -> None:
-        excerpt = [float(v) for v in list(values)[:limit]]
+    def spectrum(self, label: str, values) -> None:
+        excerpt = [float(v) for v in list(values)[:SPECTRUM_EXCERPT]]
         self.add("spectrum", label, *excerpt)
 
     def finish(self) -> int:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -226,9 +226,10 @@ class MediatorGadget:
                     raise ValidationError(f"negative site index {site}")
                 if sys_axis not in AXES:
                     raise ValidationError(f"unknown system axis {sys_axis!r}")
-                if abs(strength) > self.lam * (1 + 1e-9):
+                # Negated so that a NaN strength fails the test as well.
+                if not abs(strength) <= self.lam * (1 + 1e-9):
                     raise ValidationError(
-                        f"slot strength {strength} exceeds the layer scale {self.lam}")
+                        f"slot strength {strength} is outside the layer scale {self.lam}")
 
     def sites(self):
         """Distinct non-mediator sites this gadget touches, sorted."""
@@ -243,17 +244,14 @@ def _penalty(g: MediatorGadget, co: MediatorCoefficients):
     return fields, 0.5 * g.delta
 
 
-def gadget_hamiltonian(g: MediatorGadget, co: MediatorCoefficients = None):
+def gadget_hamiltonian(g: MediatorGadget):
     """Bare physical terms of one gadget: (SpinHamiltonian terms, offset).
 
     The splitting ``delta |h><h|`` is emitted as the field
     ``-(delta/2) * (d . sigma)`` on the mediator plus the scalar ``delta/2``
-    returned as the offset.  ``co`` is the gadget's coefficient set when
-    the caller already holds it.
+    returned as the offset.
     """
-    if co is None:
-        co = mediator_coefficients(g.theta, g.phi)
-    terms, offset = _penalty(g, co)
+    terms, offset = _penalty(g, mediator_coefficients(g.theta, g.phi))
     for axis, entries in g.slots.items():
         for site, sys_axis, strength in entries:
             factors = tuple(sorted([(g.mediator, axis), (site, sys_axis)]))
@@ -293,15 +291,14 @@ def _model_coefficients(g: MediatorGadget, co: MediatorCoefficients) -> dict:
     return out
 
 
-def gadget_model(g: MediatorGadget, co: MediatorCoefficients = None) -> SpinHamiltonian:
+def gadget_model(g: MediatorGadget) -> SpinHamiltonian:
     """Second-order effective Hamiltonian of one gadget on its low sector.
 
     Includes the first-order dressed fields, all cross and diagonal
     second-order products (expanded through the Pauli algebra), and the
     identity part.  Imaginary parts must cancel; a residual signals a bug.
     """
-    if co is None:
-        co = mediator_coefficients(g.theta, g.phi)
+    co = mediator_coefficients(g.theta, g.phi)
     terms = [PauliTerm.prevalidated(c, f) for f, c in _model_coefficients(g, co).items()]
     num = max(s for entries in g.slots.values() for s, _, _ in entries) + 1
     return SpinHamiltonian(num, terms)
@@ -321,8 +318,11 @@ class LayerScales:
     lam: float
     delta: float
     count: int
-    budget: float
-    mediators: tuple = ()
+
+    @property
+    def budget(self) -> float:
+        """The layer's error budget ``count * lambda**3 / delta**2``."""
+        return self.count * self.lam ** 3 / self.delta ** 2
 
 
 def schedule_scales(counts, precision, *, safety=SAFETY):
@@ -364,8 +364,7 @@ def schedule_scales(counts, precision, *, safety=SAFETY):
             raise ScheduleError(
                 f"scale ladder exceeds the float range at layer {name!r}; "
                 "the precision target cannot be met at finite scales")
-        budget = n * lam ** 3 / delta ** 2
-        layers.append(LayerScales(LAYER_ORDER.index(name), name, lam, delta, n, budget))
+        layers.append(LayerScales(LAYER_ORDER.index(name), name, lam, delta, n))
         lam_prev, k_prev = lam, k
     return layers
 
@@ -487,7 +486,6 @@ class _Assembler:
         self.heisenberg = []
         self.extra_terms = []   # penalty fields + compensation fields
         self.offset = 0.0
-        self.layer_mediators = {name: [] for name in LAYER_ORDER}
         self.coefficients = CoefficientSets()
 
     def alloc(self):
@@ -520,7 +518,6 @@ class _Assembler:
                 "gadget output does not match its target couplings; "
                 "this indicates a compiler bug")
         self.gadgets.append(g)
-        self.layer_mediators[g.layer].append(g.mediator)
 
 
 def _compile_freeze_heisenberg(asm, rec, pending: _TwoAxis):
@@ -653,10 +650,8 @@ def compile(source: SpinHamiltonian, precision, *, safety=SAFETY) -> GadgetPlan:
     for t in compiled.terms:
         if t.weight > 2:
             raise HamlowerError("compiled Hamiltonian grew a >2-local term; bug")
-    layers = tuple(replace(rec, mediators=tuple(asm.layer_mediators[rec.name]))
-                   for rec in layers)
     budget = float(sum(rec.budget for rec in layers))
-    return GadgetPlan(source, float(precision), float(safety), layers,
+    return GadgetPlan(source, float(precision), float(safety), tuple(layers),
                       tuple(asm.gadgets), tuple(asm.heisenberg), compiled,
                       asm.offset, budget)
 
@@ -756,10 +751,9 @@ def entangler_realization(term: PauliTerm, precision, *, safety=SAFETY) -> Entan
     slots = {axis_a: ((site_i, axis_a, rec.lam),),
              axis_b: ((site_j, axis_b, rec.lam),)}
     g = MediatorGadget(m, LAYER_ENTANGLE, theta, phi, rec.lam, rec.delta, slots)
-    co = mediator_coefficients(theta, phi)
-    terms, offset = gadget_hamiltonian(g, co)
+    terms, offset = gadget_hamiltonian(g)
     hamiltonian = SpinHamiltonian(m + 1, terms).canonicalize()
-    model = gadget_model(g, co)
+    model = gadget_model(g)
     return EntanglerCheck(g, hamiltonian, offset, model, rec.budget)
 
 
@@ -809,7 +803,7 @@ def plan_to_text(plan: GadgetPlan) -> str:
 
 
 def plan_from_text(text: str) -> GadgetPlan:
-    """Read a plan document; reject one whose sections disagree."""
+    """Read a plan document; reject one whose sections or budgets disagree."""
     reader = LineReader.from_text(text, "plan document")
     reader.expect("gadget-plan v1")
     precision = reader.field("precision", float)
@@ -818,11 +812,13 @@ def plan_from_text(text: str) -> GadgetPlan:
     offset = reader.field("offset", float)
     num_spins = reader.field("spins", int)
     layer_rows = []
+    layer_budgets = []
     for line in reader.counted("layers"):
         try:
             index, name, lam, delta, count, layer_budget = line.split()
             layer_rows.append(LayerScales(int(index), name, float(lam), float(delta),
-                                          int(count), float(layer_budget)))
+                                          int(count)))
+            layer_budgets.append(float(layer_budget))
         except ValueError:
             raise reader.error(f"bad layer record {line!r}") from None
     gadgets = []
@@ -860,9 +856,16 @@ def plan_from_text(text: str) -> GadgetPlan:
     if listed != declared:
         raise ParseError(f"layer records count gadgets {declared} but the "
                          f"gadgets section lists {dict(listed)}")
-    layer_rows = tuple(replace(rec, mediators=tuple(
-        g.mediator for g in gadgets if g.layer == rec.name)) for rec in layer_rows)
-    return GadgetPlan(source, precision, safety, layer_rows, tuple(gadgets),
+    # compile writes every budget with exactly this arithmetic.
+    try:
+        stale = [rec.budget for rec in layer_rows] != layer_budgets
+    except ArithmeticError:     # a zero delta or an overflowing power
+        stale = True
+    if stale:
+        raise ParseError("layer budgets are not count * lambda**3 / delta**2")
+    if budget != float(sum(layer_budgets)):
+        raise ParseError(f"plan budget {budget!r} is not the sum of its layer budgets")
+    return GadgetPlan(source, precision, safety, tuple(layer_rows), tuple(gadgets),
                       tuple(heisenberg), compiled, offset, budget)
 
 
@@ -895,7 +898,8 @@ class HistorySpec:
                 raise ValidationError(
                     f"gate on {len(sites)} spins needs shape {(dim, dim)}, "
                     f"got {matrix.shape}")
-            if np.abs(matrix @ matrix.conj().T - np.eye(dim)).max() > 1e-12:
+            # Negated so that a NaN entry fails the test as well.
+            if not np.abs(matrix @ matrix.conj().T - np.eye(dim)).max() <= 1e-12:
                 raise ValidationError("gate is not unitary to 1e-12")
             gates.append((matrix, sites))
         if not 1 <= len(gates) <= 8:
@@ -970,6 +974,8 @@ def history_state(spec: HistorySpec, psi0=None) -> np.ndarray:
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (dim,):
             raise ValidationError(f"initial state must have dimension {dim}")
+        if not np.isfinite(psi).all():
+            raise ValidationError("initial state has non-finite entries")
         norm = np.linalg.norm(psi)
         if norm < 1e-12:
             raise ValidationError("initial state has zero norm")
@@ -987,16 +993,16 @@ def history_state(spec: HistorySpec, psi0=None) -> np.ndarray:
     return out / math.sqrt(steps + 1)
 
 
-def build_history_hamiltonian(spec: HistorySpec, psi0=None, *,
-                              initial_projector=None, final_projector=None,
-                              penalty=1.0) -> HistoryResult:
+def build_history_hamiltonian(spec: HistorySpec, *, initial_projector=None,
+                              final_projector=None, penalty=1.0) -> HistoryResult:
     """Propagation Hamiltonian on the legal clock subspace, with certificate.
 
     The propagation term for step t is
     (|t><t| + |t-1><t-1|)/2 (x) I - (U_t (x) |t><t-1| + h.c.)/2, acting on
     computation (x) (T+1)-dimensional legal clock space.  Optional penalty
     projectors restrict the t = 0 and t = T computation states to the ranges
-    of the given projectors.
+    of the given projectors.  The certificate checks the history state of
+    the all-zero input.
     """
     n = spec.num_computation_spins
     dim = 2 ** n
@@ -1018,13 +1024,13 @@ def build_history_hamiltonian(spec: HistorySpec, psi0=None, *,
         projector = np.asarray(projector, dtype=complex)
         if projector.shape != (dim, dim):
             raise ValidationError(f"penalty projector must be {dim}x{dim}")
-        if np.abs(projector @ projector - projector).max() > 1e-10:
+        if not np.abs(projector @ projector - projector).max() <= 1e-10:
             raise ValidationError("penalty projector is not idempotent")
         clock = np.zeros((cdim, cdim))
         clock[t_slot, t_slot] = 1.0
         ham += penalty * np.kron(eye - projector, clock)
     spectrum = eig_hermitian(ham)
-    state = history_state(spec, psi0)
+    state = history_state(spec)
     ground = float(spectrum.values[0])
     scale = max(1.0, float(np.abs(spectrum.values).max()))
     ground_mask = spectrum.values <= ground + 1e-9 * scale

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ParseError, RegimeError, ResourceLimitError, ValidationError
 from .operators import (
     AXES,
+    NEGLIGIBLE,
     FermionOperator,
     FockSector,
     LineReader,
@@ -38,7 +39,6 @@ from .operators import (
     default_site_modes,
     eig_hermitian,  # unused here; perfbench/spans.py traces hubbard.eig_hermitian
     eig_values,
-    fermion_from_monomial,
     fermion_to_text,
     jordan_map_spin_to_fermion,
     realize_fermion,
@@ -130,32 +130,23 @@ def half_filling_sector(model: HubbardModel) -> FockSector:
 
 def interaction_operator(model: HubbardModel) -> FermionOperator:
     """Repulsion plus Zeeman fields: the unperturbed part of the splitting."""
-    modes = model.num_modes
-    out = FermionOperator(modes, [])
-    for site in range(model.sites):
-        up, down = default_site_modes(site)
-        out = out + fermion_from_monomial(
-            modes, model.u, ((up, True), (up, False), (down, True), (down, False)))
+    terms = [(model.u, ((up, True), (up, False), (down, True), (down, False)))
+             for up, down in map(default_site_modes, range(model.sites))]
     for site, row in enumerate(model.fields):
         for axis, b in zip(AXES, row):
             if b != 0.0:
-                out = out + jordan_map_spin_to_fermion(
-                    PauliTerm(b, [(site, axis)]), model.sites)
-    return out.normal_order()
+                terms.extend(jordan_map_spin_to_fermion(
+                    PauliTerm(b, [(site, axis)]), model.sites).terms)
+    return FermionOperator(model.num_modes, terms).normal_order()
 
 
 def hopping_operator(model: HubbardModel) -> FermionOperator:
-    modes = model.num_modes
-    out = FermionOperator(modes, [])
+    terms = []
     for i, j in model.edges:
-        for spin in (0, 1):
-            a = default_site_modes(i)[spin]
-            b = default_site_modes(j)[spin]
-            out = out + fermion_from_monomial(
-                modes, -model.t, ((a, True), (b, False)))
-            out = out + fermion_from_monomial(
-                modes, -model.t, ((b, True), (a, False)))
-    return out.normal_order()
+        for a, b in zip(default_site_modes(i), default_site_modes(j)):
+            terms.append((-model.t, ((a, True), (b, False))))
+            terms.append((-model.t, ((b, True), (a, False))))
+    return FermionOperator(model.num_modes, terms).normal_order()
 
 
 def check_regime(model: HubbardModel):
@@ -205,11 +196,11 @@ class ExchangeReport:
 
 
 def _real_if_real(matrix: np.ndarray) -> np.ndarray:
-    """``matrix.real`` unless an imaginary part exceeds 1e-12.
+    """``matrix.real`` unless an imaginary part exceeds ``NEGLIGIBLE``.
 
     Hopping is always real; only a Y field gives ``h0`` imaginary entries.
     """
-    return matrix if np.abs(matrix.imag).max() > 1e-12 else matrix.real
+    return matrix if np.abs(matrix.imag).max() > NEGLIGIBLE else matrix.real
 
 
 def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
@@ -329,7 +320,7 @@ def hubbard_to_text(model: HubbardModel) -> str:
         lines.append(f"{s} {bx!r} {by!r} {bz!r}")
     if model.sites <= MAX_EXACT_SITES:
         op = build_hubbard(model)
-        if all(abs(c.imag) <= 1e-12 for c, _ in op.terms):
+        if all(abs(c.imag) <= NEGLIGIBLE for c, _ in op.terms):
             lines.append("operator")
             lines.append(fermion_to_text(op).rstrip("\n"))
             lines.append("end")
@@ -363,8 +354,8 @@ def hubbard_from_text(text: str) -> HubbardModel:
     operator = None if reader.at_end else _read_fermion(reader.section("operator"))
     reader.done()
     model = reader.build(HubbardModel, sites, t, u, tuple(edges), tuple(fields))
-    # normal_order drops residual terms of magnitude <= 1e-12, the threshold
-    # hubbard_to_text uses for imaginary parts it leaves out.
+    # normal_order drops residual terms of magnitude <= NEGLIGIBLE, the
+    # threshold hubbard_to_text uses for imaginary parts it leaves out.
     if operator is not None and (
             operator.num_modes != model.num_modes
             or (operator + build_hubbard(model).scaled(-1)).normal_order().terms):

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 from .operators import (
+    NEGLIGIBLE,
     FermionOperator,
     FockSector,
     LineReader,
@@ -41,6 +42,9 @@ from .operators import (
 )
 
 HERMITICITY_ATOL = 1e-10
+
+SCF_DAMPING = 0.5       # share of the fresh density mixed in per iteration
+SCF_TOLERANCE = 1e-8    # density update (Frobenius norm) that ends a restart
 
 # C(12, 6) = 924; larger sectors make dense exact references too slow.
 MAX_EXACT_DIMENSION = 5000
@@ -223,16 +227,32 @@ def hartree_fock_energy(ham: SecondQuantizedHamiltonian, state, xc=None) -> floa
     return float(total.real)
 
 
+def _fock_builder(h, w):
+    """``density -> Fock matrix`` for one-body part ``h`` and interaction ``w``.
+
+    The four contractions of the two-body tensor with the density fold into
+    one ``(m^2, m^2)`` kernel, of which only the nonzero rows are kept, so
+    each build is one row-restricted matrix product.
+    """
+    m = h.shape[0]
+    kernel = 0.5 * (np.einsum("pjkq->pqkj", w) + np.einsum("ipql->pqli", w)
+                    - np.einsum("pjql->pqlj", w)
+                    - np.einsum("ipkq->pqki", w)).reshape(m * m, m * m)
+    rows = np.flatnonzero(kernel.any(axis=1))
+    kernel = kernel[rows]
+
+    def fock(density):
+        interaction = np.zeros(m * m, dtype=complex)
+        interaction[rows] = kernel @ density.reshape(-1)
+        f = h + interaction.reshape(m, m)
+        return 0.5 * (f + f.conj().T)
+
+    return fock
+
+
 def fock_matrix(ham: SecondQuantizedHamiltonian, density, xc=None) -> np.ndarray:
     """Gradient of the energy functional with respect to the density."""
-    density = np.asarray(density)
-    w = ham.two_body
-    f = _one_body_total(ham, xc).astype(complex).copy()
-    f += 0.5 * (np.einsum("pjkq,kj->pq", w, density)
-                + np.einsum("ipql,li->pq", w, density)
-                - np.einsum("pjql,lj->pq", w, density)
-                - np.einsum("ipkq,ki->pq", w, density))
-    return 0.5 * (f + f.conj().T)
+    return _fock_builder(_one_body_total(ham, xc), ham.two_body)(np.asarray(density))
 
 
 @dataclass
@@ -241,7 +261,7 @@ class SCFResult:
 
     ``history`` holds the best restart's density residuals, one per
     iteration: the Frobenius norm of the fresh density minus the current
-    one, the quantity the convergence test compares with ``tolerance``.
+    one, the quantity the convergence test compares with ``SCF_TOLERANCE``.
     ``energy`` is the Wick energy of the final determinant.
     """
 
@@ -266,15 +286,15 @@ def _haar_orbitals(rng, num_modes, num_particles):
 
 def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
               restarts: int = 16, seed: int = 0, max_iterations: int = 500,
-              tolerance: float = 1e-8, damping: float = 0.5,
               xc=None) -> SCFResult:
     """Damped Roothaan iteration from several deterministic starting points.
 
     Restart 0 occupies the lowest orbitals of the one-body part; the others
     are seeded Haar-random frames.  Each restart iterates
-    diagonalize-occupy-mix until the raw density update falls below
-    ``tolerance`` in Frobenius norm.  The reported result minimizes
-    (energy, restart index); non-convergence is reported, never raised.
+    diagonalize-occupy-mix, with damping ``SCF_DAMPING``, until the raw
+    density update falls below ``SCF_TOLERANCE`` in Frobenius norm.  The
+    reported result minimizes (energy, restart index); non-convergence is
+    reported, never raised.
     """
     m = ham.num_modes
     if not 1 <= num_particles <= m:
@@ -284,27 +304,9 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
         raise ValidationError("need at least one restart")
     if max_iterations < 1:
         raise ValidationError("need at least one iteration")
-    if not 0 < damping <= 1:
-        raise ValidationError("damping must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     h_tot = _one_body_total(ham, xc)
-    # One (m^2, m^2) kernel turns every Fock build in the iteration loop
-    # into a single matrix product; the column pairs match the density
-    # indices contracted in fock_matrix.  Only its nonzero rows are kept:
-    # each kept row's dot product is unchanged, and the other entries of
-    # the interaction stay zero.
-    w = ham.two_body
-    kernel = 0.5 * (np.einsum("pjkq->pqkj", w) + np.einsum("ipql->pqli", w)
-                    - np.einsum("pjql->pqlj", w)
-                    - np.einsum("ipkq->pqki", w)).reshape(m * m, m * m)
-    rows = np.flatnonzero(kernel.any(axis=1))
-    kernel = kernel[rows]
-
-    def interaction(density):
-        out = np.zeros(m * m, dtype=complex)
-        out[rows] = kernel @ density.reshape(-1)
-        return out.reshape(m, m)
-
+    fock = _fock_builder(h_tot, ham.two_body)
     best = None
     converged_count = 0
     for attempt in range(restarts):
@@ -317,14 +319,12 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
         history = []
         iterations = 0
         for iterations in range(1, max_iterations + 1):
-            f = h_tot + interaction(density)
-            f = 0.5 * (f + f.conj().T)
-            u = eig_hermitian(f).vectors[:, :num_particles]
+            u = eig_hermitian(fock(density)).vectors[:, :num_particles]
             fresh = u @ u.conj().T
             step = float(np.linalg.norm(fresh - density))
-            density = density + damping * (fresh - density)
+            density = density + SCF_DAMPING * (fresh - density)
             history.append(step)
-            if step <= tolerance:
+            if step <= SCF_TOLERANCE:
                 converged = True
                 break
         state = SlaterState(u)
@@ -348,8 +348,8 @@ def second_quantized_to_text(ham: SecondQuantizedHamiltonian) -> str:
 
     The format carries real coefficients only.
     """
-    if (np.abs(ham.one_body.imag).max() > 1e-12
-            or np.abs(ham.two_body.imag).max() > 1e-12):
+    if (np.abs(ham.one_body.imag).max() > NEGLIGIBLE
+            or np.abs(ham.two_body.imag).max() > NEGLIGIBLE):
         raise ValidationError(
             "the interchange format only accepts real coefficients")
     m = ham.num_modes

@@ -48,6 +48,11 @@ _PAULI_PRODUCT = {
     ("X", "Z"): (-1.0j, "Y"),
 }
 
+# Coefficients of magnitude at or below this are treated as zero: dropped
+# on canonicalization and normal ordering, and read as a real value's
+# rounding residue by the writers that accept real coefficients only.
+NEGLIGIBLE = 1e-12
+
 # Dense realizations refuse to build above this many spins unless the
 # environment override is set; 2**14 doubles is the intended desk-scale cap.
 DENSE_SPIN_LIMIT = 14
@@ -169,8 +174,6 @@ class SpinHamiltonian:
     (as ``spin_to_text`` and ``==`` do) returns it unchanged.
     """
 
-    drop_tol = 1e-12
-
     def __init__(self, num_spins: int, terms=()):
         num_spins = int(num_spins)
         if num_spins < 1:
@@ -196,7 +199,7 @@ class SpinHamiltonian:
             seen = merged.get(t.factors)
             merged[t.factors] = t if seen is None else PauliTerm.prevalidated(
                 seen.coefficient + t.coefficient, t.factors)
-        kept = [t for t in merged.values() if abs(t.coefficient) > self.drop_tol]
+        kept = [t for t in merged.values() if abs(t.coefficient) > NEGLIGIBLE]
         kept.sort(key=lambda t: (len(t.factors), t.factors))
         # Kept terms come from this Hamiltonian, so they fit its spins.
         out = object.__new__(SpinHamiltonian)
@@ -275,9 +278,9 @@ def realize_spin(h: SpinHamiltonian, num_spins=None) -> np.ndarray:
     return out
 
 
-def apply_spin(h: SpinHamiltonian, vec: np.ndarray, num_spins=None) -> np.ndarray:
+def apply_spin(h: SpinHamiltonian, vec: np.ndarray) -> np.ndarray:
     """Matrix-free application of ``h`` to a state vector."""
-    n = h.num_spins if num_spins is None else int(num_spins)
+    n = h.num_spins
     dim = 1 << n
     if vec.shape[0] != dim:
         raise ValidationError(f"state has dimension {vec.shape[0]}, expected {dim}")
@@ -455,13 +458,14 @@ class FermionOperator:
     def scaled(self, factor) -> "FermionOperator":
         return self * factor
 
-    def normal_order(self, drop_tol: float = 1e-12) -> "FermionOperator":
+    def normal_order(self) -> "FermionOperator":
         """Canonical normal-ordered form with anticommutator bookkeeping.
 
         Swapping two fermionic operators flips the sign; swapping ``a_m`` past
         ``a_m^+`` additionally produces the contracted monomial from
         ``a a^+ = 1 - a^+ a``.  Monomials with a repeated creation (or
-        annihilation) vanish.
+        annihilation) vanish, and so do merged coefficients of magnitude at
+        most ``NEGLIGIBLE``.
         """
         acc = {}
         stack = [(coeff, mono) for coeff, mono in self.terms]
@@ -487,7 +491,7 @@ class FermionOperator:
             else:
                 acc[mono] = acc.get(mono, 0.0) + coeff
                 continue
-        terms = [(c, m) for m, c in acc.items() if abs(c) > drop_tol]
+        terms = [(c, m) for m, c in acc.items() if abs(c) > NEGLIGIBLE]
         terms.sort(key=lambda t: (len(t[1]), t[1]))
         return FermionOperator(self.num_modes, terms)
 
@@ -620,8 +624,7 @@ _BILINEAR = {
 }
 
 
-def jordan_map_spin_to_fermion(term: PauliTerm, num_sites: int,
-                               site_modes=default_site_modes) -> FermionOperator:
+def jordan_map_spin_to_fermion(term: PauliTerm, num_sites: int) -> FermionOperator:
     """On-site quadratic image of a Pauli string for spinful fermions.
 
     Each single-site Pauli ``P_i`` becomes ``sum_{ss'} P_{ss'} a+_{is} a_{is'}``
@@ -629,12 +632,12 @@ def jordan_map_spin_to_fermion(term: PauliTerm, num_sites: int,
     the per-site bilinears, expanded and normal ordered.  On the
     singly-occupied subspace this reproduces the spin matrix exactly.
     """
-    num_modes = max(site_modes(s)[1] for s in range(num_sites)) + 1
+    num_modes = 2 * num_sites
     out = FermionOperator(num_modes, [(term.coefficient, ())])
     for site, axis in term.factors:
         if site >= num_sites:
             raise ValidationError(f"site {site} outside the {num_sites}-site lattice")
-        modes = site_modes(site)
+        modes = default_site_modes(site)
         bilinear = FermionOperator(
             num_modes,
             [(c, ((modes[s1], True), (modes[s2], False)))
@@ -643,8 +646,7 @@ def jordan_map_spin_to_fermion(term: PauliTerm, num_sites: int,
     return out.normal_order()
 
 
-def singly_occupied_projector(sector: FockSector, num_sites: int,
-                              site_modes=default_site_modes) -> np.ndarray:
+def singly_occupied_projector(sector: FockSector, num_sites: int) -> np.ndarray:
     """Columns spanning the one-particle-per-site block, in spin basis order.
 
     Sector ordering makes the singly-occupied states appear in the same
@@ -654,8 +656,8 @@ def singly_occupied_projector(sector: FockSector, num_sites: int,
     cols = []
     for state in sector.states:
         occ = sector.occupations(state)
-        good = all(occ[site_modes(s)[0]] + occ[site_modes(s)[1]] == 1
-                   for s in range(num_sites))
+        good = all(occ[up] + occ[down] == 1
+                   for up, down in map(default_site_modes, range(num_sites)))
         if good:
             cols.append(sector.index[state])
     if len(cols) != 2 ** num_sites:
@@ -802,7 +804,7 @@ def fermion_to_text(op: FermionOperator) -> str:
     """Serialize in the line format ``coeff +i -j ...`` (real coefficients)."""
     lines = [f"modes {op.num_modes}"]
     for coeff, mono in op.terms:
-        if abs(coeff.imag) > 1e-12:
+        if abs(coeff.imag) > NEGLIGIBLE:
             raise ValidationError(
                 "the fermionic interchange format only accepts real coefficients")
         parts = [repr(coeff.real)]

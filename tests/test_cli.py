@@ -170,6 +170,31 @@ class TestVerify:
         assert code == 2
         assert "line 2" in err
 
+    def test_tampered_budget_is_a_usage_error(self, plan_file, capsys):
+        # A raised compiled coefficient would pass under an inflated budget.
+        lines = plan_file.read_text().splitlines()
+        field_line = next(i for i in range(lines.index("compiled"), len(lines))
+                          if lines[i].endswith(" X@0") and len(lines[i].split()) == 2)
+        coefficient = float(lines[field_line].split()[0])
+        lines[field_line] = f"{coefficient + 5.0!r} X@0"
+        lines[next(i for i, line in enumerate(lines)
+                   if line.startswith("budget "))] = "budget 1e300"
+        plan_file.write_text("\n".join(lines) + "\n")
+        code, report, err = run(["verify", str(plan_file)], capsys)
+        assert code == 2
+        assert report == ""
+        assert "budget" in err
+
+    def test_nan_slot_strength_is_a_usage_error(self, plan_file, capsys):
+        text = plan_file.read_text()
+        line = next(l for l in text.splitlines() if " entangle - " in l)
+        tokens = line.split()
+        tokens[7] = tokens[7].rsplit(":", 1)[0] + ":nan"
+        plan_file.write_text(text.replace(line, " ".join(tokens), 1))
+        code, _, err = run(["verify", str(plan_file)], capsys)
+        assert code == 2
+        assert "slot strength nan" in err
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(["verify", str(tmp_path / "nope.txt")], capsys)
         assert code == 2

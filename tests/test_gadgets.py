@@ -685,6 +685,34 @@ class TestPlanSerialization:
         with pytest.raises(ParseError, match="layer"):
             plan_from_text(broken)
 
+    def test_budgets_must_follow_the_layer_scales(self):
+        plan = gadgets.compile(single_coupling(0.5), 0.5)
+        text = plan_to_text(plan)
+        total = f"\nbudget {plan.total_error_budget!r}\n"
+        assert total in text
+        with pytest.raises(ParseError, match="not the sum of its layer budgets"):
+            plan_from_text(text.replace(total, "\nbudget 1e300\n", 1))
+        rec = plan.layers[0]
+        row = f" {rec.count} {rec.budget!r}\n"
+        assert row in text
+        doubled = text.replace(row, f" {rec.count} {2 * rec.budget!r}\n", 1)
+        with pytest.raises(ParseError, match=r"layer budgets are not count \* lambda"):
+            plan_from_text(doubled)
+        scales = f" {rec.lam!r} {rec.delta!r} "
+        assert scales in text
+        for lam, delta in (("1e200", "1e-5"), ("1.0", "0.0")):    # overflow, zero
+            with pytest.raises(ParseError, match="layer budgets"):
+                plan_from_text(text.replace(scales, f" {lam} {delta} ", 1))
+
+    def test_nan_slot_strength_is_rejected(self):
+        lines = plan_to_text(gadgets.compile(single_coupling(0.5), 0.5)).splitlines()
+        record = next(i for i, line in enumerate(lines) if " entangle - " in line)
+        tokens = lines[record].split()
+        tokens[7] = tokens[7].rsplit(":", 1)[0] + ":nan"
+        lines[record] = " ".join(tokens)
+        with pytest.raises(ParseError, match=rf"^line {record + 1}: .*slot strength nan"):
+            plan_from_text("\n".join(lines) + "\n")
+
     def test_trailing_comments_are_ignored(self):
         plan = gadgets.compile(single_coupling(0.5), 0.5)
         commented = "".join(line + "  # note\n"
@@ -695,6 +723,7 @@ class TestPlanSerialization:
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 CNOT = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+NAN_FLIP = np.array([[np.nan, 1.0], [1.0, 0.0]])
 
 
 class TestClockEncoding:
@@ -838,6 +867,17 @@ class TestHistory:
             spec = HistorySpec(n, ((FLIP, (0,)),))
             result = build_history_hamiltonian(spec)
             assert result.ground_degeneracy == 2 ** n
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: HistorySpec(1, ((NAN_FLIP, (0,)),)), "unitary"),
+        (lambda: build_history_hamiltonian(HistorySpec(1, ((FLIP, (0,)),)),
+                                           initial_projector=NAN_FLIP), "idempotent"),
+        (lambda: history_state(HistorySpec(1, ((FLIP, (0,)),)), psi0=[np.nan, 1.0]),
+         "non-finite"),
+    ], ids=["gate", "projector", "psi0"])
+    def test_nan_inputs_are_rejected(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
 
     def test_validation(self):
         with pytest.raises(ValidationError):
