@@ -179,6 +179,7 @@ def cmd_scf(args) -> int:
     report.add("energy", result.energy)
     report.add("best-restart", result.restart)
     report.add("iterations", result.iterations)
+    report.add("residual", result.history[-1])
     report.add("restarts-converged", result.restarts_converged)
     report.add("converged", result.converged)
     report.passed = result.converged
@@ -214,6 +215,9 @@ def cmd_ising(args) -> int:
     report.add("seed", args.seed)
     report.add("scf-energy", result.energy)
     report.add("scf-converged", result.converged)
+    report.add("scf-iterations", result.iterations)
+    report.add("scf-restarts-converged", result.restarts_converged)
+    report.add("scf-residual", result.history[-1])
     report.add("decoded-spins", *(f"{s:+d}" for s in decoded))
     report.add("decoded-energy", decoded_energy)
     # The embedding is exact on classical determinants, so the decoded

@@ -333,6 +333,8 @@ def schedule_scales(counts, precision, *, safety=SAFETY):
     k >= safety, k >= safety * k_previous, and an equal split of the error
     budget sum(count * lambda^3/delta^2) <= precision across layers.
     ``precision`` may be ``inf`` (scales sit at the safety boundary).
+    ``safety`` must be finite and at least ``SAFETY``, the separation every
+    gadget is checked against.
     """
     if isinstance(precision, bool) or not isinstance(precision, (int, float)):
         raise ScheduleError(f"precision must be a number, got {precision!r}")
@@ -341,6 +343,10 @@ def schedule_scales(counts, precision, *, safety=SAFETY):
         raise ScheduleError(
             f"precision must be positive (got {precision}); "
             "the budget constraint sum(lambda^3/delta^2) <= precision is infeasible")
+    if not (math.isfinite(safety) and safety >= SAFETY):
+        raise ScheduleError(
+            f"safety must be a finite number of at least {SAFETY} (got {safety}); "
+            "every gadget's splitting is checked against that floor")
     counts = [(name, int(n)) for name, n in counts]
     for name, n in counts:
         if name not in LAYER_ORDER:
@@ -620,7 +626,7 @@ def compile(source: SpinHamiltonian, precision, *, safety=SAFETY) -> GadgetPlan:
         counts.extend([(LAYER_ENTANGLE, n1),
                        (LAYER_FREEZE_PAIR, 2 * n1),
                        (LAYER_FREEZE_HEIS, 4 * n1)])
-    layers = schedule_scales(counts, precision, safety=safety) if counts else []
+    layers = schedule_scales(counts, precision, safety=safety)
     by_name = {rec.name: rec for rec in layers}
     asm = _Assembler(source.num_spins)
     asm.offset += constant
@@ -808,6 +814,9 @@ def plan_from_text(text: str) -> GadgetPlan:
     reader.expect("gadget-plan v1")
     precision = reader.field("precision", float)
     safety = reader.field("safety", float)
+    if not (math.isfinite(safety) and safety >= SAFETY):
+        raise reader.error(f"safety {safety!r} is below the floor {SAFETY} "
+                           "or not finite")
     budget = reader.field("budget", float)
     offset = reader.field("offset", float)
     num_spins = reader.field("spins", int)

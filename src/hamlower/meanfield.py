@@ -6,9 +6,9 @@ A problem instance is a second-quantized Hamiltonian
 
 with Hermitian one-body part and two-body symmetry ``w_ijkl = conj(w_lkji)``.
 The solver minimizes the Slater-determinant energy functional by damped
-Roothaan iteration over several deterministic restarts and reports the best
-determinant found; the result is variational, never below the exact ground
-energy.
+Roothaan iteration over several deterministic restarts, run in lockstep, and
+reports the best determinant found; the result is variational, never below
+the exact ground energy.
 
 Density conventions: ``D = u @ u.conj().T`` so ``D[q, p] = <a+_p a_q>``.
 The Wick energy and the Fock matrix (the energy gradient) follow from that
@@ -45,6 +45,9 @@ HERMITICITY_ATOL = 1e-10
 
 SCF_DAMPING = 0.5       # share of the fresh density mixed in per iteration
 SCF_TOLERANCE = 1e-8    # density update (Frobenius norm) that ends a restart
+# Restarts whose energies differ by less than this share of max(1, |E|)
+# reached the same determinant; the lowest such restart is reported.
+SCF_ENERGY_TIE = 1e-12
 
 # C(12, 6) = 924; larger sectors make dense exact references too slow.
 MAX_EXACT_DIMENSION = 5000
@@ -231,21 +234,30 @@ def _fock_builder(h, w):
     """``density -> Fock matrix`` for one-body part ``h`` and interaction ``w``.
 
     The four contractions of the two-body tensor with the density fold into
-    one ``(m^2, m^2)`` kernel, of which only the nonzero rows are kept, so
-    each build is one row-restricted matrix product.
+    one ``(m^2, m^2)`` kernel.  Only the rows and the columns that a nonzero
+    entry of ``w`` reaches are built, so each build is one product with a
+    row-and-column-restricted kernel.  The map takes one density or a stack
+    ``(R, m, m)`` of them and builds every Fock matrix in that one product.
     """
     m = h.shape[0]
-    kernel = 0.5 * (np.einsum("pjkq->pqkj", w) + np.einsum("ipql->pqli", w)
-                    - np.einsum("pjql->pqlj", w)
-                    - np.einsum("ipkq->pqki", w)).reshape(m * m, m * m)
-    rows = np.flatnonzero(kernel.any(axis=1))
-    kernel = kernel[rows]
+    a, b, c, d = np.nonzero(w)
+    # kernel[p*m + q, x*m + y] = (w_pyxq + w_ypqx - w_pyqx - w_ypxq) / 2
+    rows = np.unique(np.concatenate([a * m + d, b * m + c, a * m + c, b * m + d]))
+    cols = np.unique(np.concatenate([c * m + b, d * m + a, d * m + b, c * m + a]))
+    p, q = np.divmod(rows[:, None], m)
+    x, y = np.divmod(cols, m)
+    kernel = 0.5 * (w[p, y, x, q] + w[y, p, q, x] - w[p, y, q, x] - w[y, p, x, q])
+    # Transposed, so that flattened densities multiply it from the left.
+    kernel = np.ascontiguousarray(kernel.T)
+    # A complete index set indexes as a slice: a view, not a gather.
+    rows, cols = (slice(None) if index.size == m * m else index for index in (rows, cols))
 
     def fock(density):
-        interaction = np.zeros(m * m, dtype=complex)
-        interaction[rows] = kernel @ density.reshape(-1)
-        f = h + interaction.reshape(m, m)
-        return 0.5 * (f + f.conj().T)
+        flat = density.reshape(*density.shape[:-2], m * m)
+        interaction = np.zeros(flat.shape, dtype=complex)
+        interaction[..., rows] = flat[..., cols] @ kernel
+        f = h + interaction.reshape(density.shape)
+        return 0.5 * (f + f.conj().swapaxes(-2, -1))
 
     return fock
 
@@ -290,11 +302,13 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
     """Damped Roothaan iteration from several deterministic starting points.
 
     Restart 0 occupies the lowest orbitals of the one-body part; the others
-    are seeded Haar-random frames.  Each restart iterates
-    diagonalize-occupy-mix, with damping ``SCF_DAMPING``, until the raw
-    density update falls below ``SCF_TOLERANCE`` in Frobenius norm.  The
-    reported result minimizes (energy, restart index); non-convergence is
-    reported, never raised.
+    are seeded Haar-random frames.  All restarts iterate
+    diagonalize-occupy-mix in lockstep, one stacked Fock build and one
+    stacked eigensolve per iteration, with damping ``SCF_DAMPING``.  A
+    restart leaves the stack once its raw density update falls below
+    ``SCF_TOLERANCE`` in Frobenius norm.  The reported restart is the lowest
+    index whose energy lies within ``SCF_ENERGY_TIE`` (relative) of the
+    lowest energy; non-convergence is reported, never raised.
     """
     m = ham.num_modes
     if not 1 <= num_particles <= m:
@@ -307,35 +321,40 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
     rng = np.random.default_rng(seed)
     h_tot = _one_body_total(ham, xc)
     fock = _fock_builder(h_tot, ham.two_body)
-    best = None
-    converged_count = 0
-    for attempt in range(restarts):
-        if attempt == 0:
-            u = eig_hermitian(h_tot).vectors[:, :num_particles]
-        else:
-            u = _haar_orbitals(rng, m, num_particles)
-        density = u @ u.conj().T
-        converged = False
-        history = []
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            u = eig_hermitian(fock(density)).vectors[:, :num_particles]
-            fresh = u @ u.conj().T
-            step = float(np.linalg.norm(fresh - density))
-            density = density + SCF_DAMPING * (fresh - density)
-            history.append(step)
-            if step <= SCF_TOLERANCE:
-                converged = True
+    frames = [eig_hermitian(h_tot).vectors[:, :num_particles]]
+    frames += [_haar_orbitals(rng, m, num_particles) for _ in range(1, restarts)]
+    orbitals = np.stack(frames)                 # each restart's final frame
+    density = orbitals @ orbitals.conj().swapaxes(-2, -1)
+    live = np.arange(restarts)                  # restarts still iterating
+    residuals = np.empty((max_iterations, restarts))
+    iterations = np.full(restarts, max_iterations)
+    converged = np.zeros(restarts, dtype=bool)
+    for iteration in range(max_iterations):
+        u = eig_hermitian(fock(density)).vectors[..., :num_particles]
+        update = u @ u.conj().swapaxes(-2, -1) - density
+        flat = update.reshape(live.size, -1)
+        steps = np.sqrt(np.vecdot(flat, flat).real)   # Frobenius norms
+        density = density + SCF_DAMPING * update
+        residuals[iteration, live] = steps
+        done = steps <= SCF_TOLERANCE
+        if done.any():
+            leaving = live[done]
+            orbitals[leaving] = u[done]
+            iterations[leaving] = iteration + 1
+            converged[leaving] = True
+            live, u, density = live[~done], u[~done], density[~done]
+            if not live.size:
                 break
-        state = SlaterState(u)
-        energy = hartree_fock_energy(ham, state, xc)
-        converged_count += converged
-        candidate = (energy, attempt, state, converged, iterations, tuple(history))
-        if best is None or candidate[:2] < best[:2]:
-            best = candidate
-    energy, attempt, state, converged, iterations, history = best
-    return SCFResult(state, energy, converged, iterations, attempt,
-                     restarts, converged_count, history)
+    orbitals[live] = u
+    states = [SlaterState(u) for u in orbitals]
+    energies = np.array([hartree_fock_energy(ham, state, xc) for state in states])
+    lowest = energies.min()
+    tied = energies <= lowest + SCF_ENERGY_TIE * max(1.0, abs(lowest))
+    best = int(np.flatnonzero(tied)[0])
+    history = tuple(float(r) for r in residuals[:iterations[best], best])
+    return SCFResult(states[best], float(energies[best]), bool(converged[best]),
+                     int(iterations[best]), best, restarts, int(converged.sum()),
+                     history)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +386,47 @@ def second_quantized_to_text(ham: SecondQuantizedHamiltonian) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain_tensors(lines, num_modes):
+    """The one- and two-body tensors of ``lines`` read in bulk, or None.
+
+    Handles records as ``second_quantized_to_text`` writes them: every line
+    starts with ``1 `` or ``2 `` and is ``1 i j v`` or ``2 i j k l v`` with
+    decimal mode indices in range.  ``np.loadtxt`` parses a float as
+    Python's ``float`` does, and ``np.add.at`` sums repeated records in
+    file order, so the tensors equal the record-by-record reading.
+    """
+    tensors = []
+    read = 0
+    for kind, order in (("1", 2), ("2", 4)):
+        target = np.zeros((num_modes,) * order)
+        tensors.append(target)
+        prefix = kind + " "
+        rows = [line for line in lines if line.startswith(prefix)]
+        if not rows:
+            continue
+        layout = np.dtype([("kind", "i8"), ("modes", "i8", order), ("value", "f8")])
+        try:
+            table = np.loadtxt(rows, dtype=layout, ndmin=1)
+        except (ValueError, OverflowError):
+            return None
+        modes = table["modes"]
+        if modes.min() < 0 or modes.max() >= num_modes:
+            return None
+        np.add.at(target, tuple(modes.T), table["value"])
+        read += len(rows)
+    return tensors if read == len(lines) else None
+
+
 def second_quantized_from_text(text: str) -> SecondQuantizedHamiltonian:
     reader = LineReader.from_text(text, "second-quantized document")
     num_modes = reader.field("modes", int)
     if num_modes < 1:
         raise reader.error("need at least one mode")
+    tensors = _plain_tensors(reader.remaining(), num_modes)
+    if tensors is not None:
+        return reader.build(SecondQuantizedHamiltonian, *tensors)
+    # Record by record: accepts every spelling ``int`` and ``float`` accept
+    # and names the line of a bad record.
     one = np.zeros((num_modes, num_modes))
     two = np.zeros((num_modes,) * 4)
     for line in reader.rest():
@@ -555,7 +610,7 @@ def embed_ising(instance: IsingInstance, penalty=None) -> SecondQuantizedHamilto
         raise ValidationError(
             f"penalty {penalty} is below the dominance floor {max(floor, 0.0)}")
     m = 2 * instance.num_sites
-    two = np.zeros((m, m, m, m))
+    two = np.zeros((m, m, m, m), dtype=complex)   # the stored dtype: no copy
 
     def add_density_pair(p, q, value):
         two[p, q, q, p] += value

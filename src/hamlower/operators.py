@@ -294,30 +294,39 @@ def apply_spin(h: SpinHamiltonian, vec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending) and matching eigenvector columns."""
+    """Eigenvalues (ascending) and matching eigenvector columns.
+
+    For a stack of matrices both fields carry the stack's leading axes.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
 
 
 def _checked_hermitian(matrix) -> np.ndarray:
-    """``matrix`` as an array, after checking it is square and Hermitian."""
+    """``matrix`` as an array, after checking it is square and Hermitian.
+
+    A stack ``(..., m, m)`` is checked matrix by matrix, each against its
+    own largest entry, in one pass over the whole stack.
+    """
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
-    scale = max(1.0, float(np.abs(matrix).max()))
-    diff = np.abs(matrix - matrix.conj().T).max()
-    # Negated so that a NaN difference, which any non-finite entry leaves
-    # behind, fails the test as well.
-    if not diff <= 1e-10 * scale:
-        if np.isnan(diff):
-            raise ValidationError("matrix has non-finite entries")
+    axes = (-2, -1)
+    scale = np.abs(matrix).max(axis=axes)
+    # An inf entry facing a finite mirror leaves an inf difference that an
+    # inf scale would excuse, so finiteness is checked on its own.
+    if not np.isfinite(scale).all():
+        raise ValidationError("matrix has non-finite entries")
+    diff = np.abs(matrix - matrix.conj().swapaxes(-2, -1)).max(axis=axes)
+    if not (diff <= 1e-10 * np.maximum(1.0, scale)).all():
         raise ValidationError("matrix is not Hermitian within tolerance")
     return matrix
 
 
 def eig_hermitian(matrix: np.ndarray) -> Spectrum:
-    """Full eigendecomposition with an explicit Hermiticity check."""
+    """Full eigendecomposition of a matrix or a stack of matrices, with an
+    explicit Hermiticity check."""
     values, vectors = np.linalg.eigh(_checked_hermitian(matrix))
     return Spectrum(values, vectors)
 
@@ -754,6 +763,10 @@ class LineReader:
     def rest(self):
         """Iterate over the remaining lines."""
         return self._until(len(self._records))
+
+    def remaining(self) -> list:
+        """The remaining lines, without reading them."""
+        return [line for _, line in self._records[self._pos:]]
 
     def done(self) -> None:
         """Reject any content left after the last expected record."""

@@ -109,6 +109,19 @@ class TestCompile:
                   if line.startswith("# wall ")]
         assert stages == ["parse", "compile", "write"]
 
+    def test_safety_below_the_floor_fails_like_a_bad_precision(self, tmp_path, capsys):
+        src = tmp_path / "src.txt"
+        src.write_text(SOURCE_TEXT)
+        out = tmp_path / "p.txt"
+        bad_precision = run(["compile", str(src), "--precision", "-1",
+                             "--output", str(out)], capsys)
+        bad_safety = run(["compile", str(src), "--precision", "0.5",
+                          "--safety", "5", "--output", str(out)], capsys)
+        assert bad_safety[0] == bad_precision[0] == 1
+        assert bad_safety[1] == ""
+        assert "safety must be a finite number of at least 10.0" in bad_safety[2]
+        assert not out.exists()
+
     def test_overlarge_coupling_is_a_usage_error(self, tmp_path, capsys):
         src = tmp_path / "src.txt"
         src.write_text("spins 2\n1.5 X@0 Y@1\n")
@@ -255,6 +268,8 @@ class TestScf:
         assert field(report, "seed") == "1"
         assert field(report, "restarts") == "4"
         assert float(field(report, "energy")) < 0
+        assert float(field(report, "residual")) <= 1e-8
+        assert 1 <= int(field(report, "restarts-converged")) <= 4
 
     def test_body_is_deterministic(self, tmp_path, capsys):
         path = tmp_path / "sq.txt"
@@ -285,6 +300,10 @@ class TestScf:
         assert code == 1
         assert field(report, "converged") == "no"
         assert field(report, "result") == "fail"
+        # The convergence story: every iteration spent, residual still open.
+        assert field(report, "iterations") == "500"
+        assert field(report, "restarts-converged") == "0"
+        assert float(field(report, "residual")) > 1e-8
 
     @pytest.mark.parametrize("record", ["1 0 0 nan", "1 1 1 inf",
                                         "2 0 1 1 0 nan"])
@@ -333,6 +352,21 @@ class TestIsing:
         assert field(report, "decoded-spins") == "+1 -1"
         assert field(report, "penalty") == "10.0"
         assert field(report, "seed") == "0"
+        converged = field(report, "scf-converged") == "yes"
+        iterations = int(field(report, "scf-iterations"))
+        assert 1 <= iterations <= 500
+        assert 0 <= int(field(report, "scf-restarts-converged")) <= 4
+        assert (float(field(report, "scf-residual")) <= 1e-8) == converged
+
+    def test_scf_body_is_deterministic(self, tmp_path, capsys):
+        path = tmp_path / "ising.txt"
+        path.write_text(ising_to_text(random_instance(2, 0)))
+        argv = ["ising", str(path), "--scf", "--restarts", "2", "--seed", "3"]
+        _, first, _ = run(argv, capsys)
+        _, second, _ = run(argv, capsys)
+        assert body_lines(first) == body_lines(second)
+        assert field(first, "scf-iterations") == "500"
+        assert field(first, "scf-restarts-converged") == "0"
 
     def test_low_penalty_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "ising.txt"

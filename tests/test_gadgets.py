@@ -359,6 +359,16 @@ class TestScheduler:
         with pytest.raises(ScheduleError):
             schedule_scales([("entangle", 1)], precision)
 
+    @pytest.mark.parametrize("safety", [5.0, 9.999, float("inf"), float("nan")])
+    def test_safety_below_the_gadget_floor_is_refused(self, safety):
+        with pytest.raises(ScheduleError, match="at least 10.0"):
+            schedule_scales([("entangle", 1)], 0.5, safety=safety)
+        # Refused before any gadget is built, also for an empty source.
+        with pytest.raises(ScheduleError, match="at least 10.0"):
+            gadgets.compile(single_coupling(0.5), 0.5, safety=safety)
+        with pytest.raises(ScheduleError, match="at least 10.0"):
+            gadgets.compile(SpinHamiltonian(2), 0.5, safety=safety)
+
     def test_invalid_layer_requests(self):
         with pytest.raises(ScheduleError):
             schedule_scales([("melt", 1)], 0.1)
@@ -703,6 +713,13 @@ class TestPlanSerialization:
         for lam, delta in (("1e200", "1e-5"), ("1.0", "0.0")):    # overflow, zero
             with pytest.raises(ParseError, match="layer budgets"):
                 plan_from_text(text.replace(scales, f" {lam} {delta} ", 1))
+
+    @pytest.mark.parametrize("safety", ["5.0", "inf", "nan"])
+    def test_safety_below_the_gadget_floor_is_rejected(self, safety):
+        text = plan_to_text(gadgets.compile(single_coupling(0.5), 0.5))
+        assert "\nsafety 10.0\n" in text
+        with pytest.raises(ParseError, match="below the floor 10.0"):
+            plan_from_text(text.replace("\nsafety 10.0\n", f"\nsafety {safety}\n", 1))
 
     def test_nan_slot_strength_is_rejected(self):
         lines = plan_to_text(gadgets.compile(single_coupling(0.5), 0.5)).splitlines()

@@ -173,9 +173,49 @@ class TestEigensolverChecks:
             solve(np.array([[bad, 0], [0, 1.0]]))
 
     @pytest.mark.parametrize("solve", [eig_values, eig_hermitian])
+    def test_inf_facing_a_finite_mirror_is_rejected(self, solve):
+        # The difference is inf there, which an inf scale would excuse.
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve(np.array([[0.0, np.inf], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian])
     def test_non_hermitian_matrix_is_rejected(self, solve):
         with pytest.raises(ValidationError, match="not Hermitian"):
             solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @staticmethod
+    def hermitian_stack(rng, count, m):
+        raw = rng.normal(size=(count, m, m)) + 1j * rng.normal(size=(count, m, m))
+        return raw + raw.conj().swapaxes(-2, -1)
+
+    def test_stack_matches_single_solves(self):
+        stack = self.hermitian_stack(np.random.default_rng(4), 5, 6)
+        spectrum = eig_hermitian(stack)
+        values = eig_values(stack)
+        assert spectrum.values.shape == values.shape == (5, 6)
+        assert spectrum.vectors.shape == (5, 6, 6)
+        for k, matrix in enumerate(stack):
+            single = eig_hermitian(matrix)
+            assert np.abs(spectrum.values[k] - single.values).max() <= 1e-12
+            assert np.abs(spectrum.vectors[k] - single.vectors).max() <= 1e-12
+            assert np.abs(values[k] - eig_values(matrix)).max() <= 1e-12
+
+    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian])
+    def test_stack_is_checked_matrix_by_matrix(self, solve):
+        stack = self.hermitian_stack(np.random.default_rng(5), 3, 4)
+        stack[0] *= 1e6
+        # 1e-7 is far below the largest entry of the stack, but not below
+        # that of the matrix it sits in.
+        stack[2, 0, 1] += 1e-7
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            solve(stack[2])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            solve(stack)
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve(stack)
+        with pytest.raises(ValidationError, match="square"):
+            solve(stack[:, :, :3])
 
 
 class TestPauliAlgebra:
