@@ -14,6 +14,12 @@ the gap.  All formulas are invariant under a constant shift of ``H0``.
 Every block is taken in the split's own coordinates.  When the low columns
 are unit coordinate vectors the blocks are index slices; any other basis
 costs one rotation product.  Real inputs stay real throughout.
+
+Values that only set a scale or guard the regime are solved one connected
+component of the nonzero pattern at a time (``component_eig_values``): the
+high block on a caller-supplied split (its minimum is the gap, its largest
+|value| the invariance scale) and ``v`` (its norm).  The low block, whose
+mean is ``Ebar``, is solved whole.
 """
 
 from __future__ import annotations
@@ -27,7 +33,12 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DegeneracyError, RegimeError, ValidationError
-from .operators import _checked_hermitian, eig_hermitian, eig_values
+from .operators import (
+    _checked_hermitian,
+    component_eig_values,
+    eig_hermitian,
+    eig_values,
+)
 
 # An eigenvalue this close (relative to the spectral scale) to the threshold
 # means the split would cut through a near-degenerate multiplet.
@@ -129,7 +140,9 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
     the spectral scale) of any eigenvalue.  The column path checks the given
     columns are orthonormal and span an invariant subspace lying strictly
     below its complement; it needs the eigenvalues of the two diagonal
-    blocks only, which also set the scale of the invariance check.
+    blocks only, which also set the scale of the invariance check.  The low
+    block is solved whole; the high block, read only for its minimum and
+    its largest |value|, is solved per connected component.
     """
     return _split(_checked_hermitian(h0), threshold, low_columns)[0]
 
@@ -158,7 +171,7 @@ def _split(h0, threshold, low_columns):
     else:
         low, high, rows = _column_bases(low_columns, h0.shape[0])
         h0_low, cross, h0_high = _blocks(h0, low, high, rows)
-        low_vals, high_vals = eig_values(h0_low), eig_values(h0_high)
+        low_vals, high_vals = eig_values(h0_low), component_eig_values(h0_high)
         scale = max(1.0, float(np.abs(low_vals).max()),
                     float(np.abs(high_vals).max()))
         # Negated so that a NaN entry fails the test as well.
@@ -218,7 +231,8 @@ def _split_ingredients(h, split):
     """
     h_low, cross, h_high = split.blocks(h)
     _check_block_diagonal(h, cross)
-    gap, e_bar, spread = _block_stats(eig_values(h_low), eig_values(h_high))
+    gap, e_bar, spread = _block_stats(eig_values(h_low),
+                                      component_eig_values(h_high))
     return h_low, h_high, gap, e_bar, spread
 
 
@@ -299,7 +313,7 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, split=None,
     else:
         h_low, h_high, gap, e_bar, spread = _split_ingredients(h, split)
     # v is Hermitian, so its spectral norm is its largest |eigenvalue|
-    v_norm = float(np.abs(eig_values(v)).max())
+    v_norm = float(np.abs(component_eig_values(v)).max())
     if epsilon * v_norm >= gap / 2:
         raise RegimeError(
             f"epsilon*|v| = {epsilon * v_norm:.3g} is not below "

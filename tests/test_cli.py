@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import hamlower
+from hamlower import sw
 from hamlower.cli import main
 from hamlower.gadgets import plan_from_text
 from hamlower.hubbard import HubbardModel, hubbard_to_text
@@ -25,6 +26,7 @@ from hamlower.meanfield import (
     ising_to_text,
     second_quantized_to_text,
 )
+from hamlower.operators import eig_values
 
 SOURCE_TEXT = "spins 2\n0.5 X@0 Y@1\n"
 SINGLE_BOND = "ising 1\n0 1 1\n"
@@ -238,6 +240,24 @@ class TestHubbardCheck:
         code, _, err = run(["hubbard-check", str(path)], capsys)
         assert code == 1
         assert "exchange picture" in err
+
+    @pytest.mark.parametrize("model", [
+        HubbardModel(6, 1.0, 100.0, tuple((i, (i + 1) % 6) for i in range(6)),
+                     tuple((0.01 * (i % 3), -0.02 + 0.01 * i, 0.015 - 0.005 * i)
+                           for i in range(6))),
+        HubbardModel(4, 1.2, 120.0, ((0, 1), (1, 2), (2, 3), (3, 0))),
+    ], ids=["6-ring-xyz", "4-ring"])
+    def test_component_solves_keep_the_body(self, model, tmp_path, capsys,
+                                            monkeypatch):
+        # The per-component solves feed only the regime guard, the spread
+        # warning and the error budget, so no printed digit may move.
+        path = tmp_path / "hub.txt"
+        path.write_text(hubbard_to_text(model))
+        _, split, _ = run(["hubbard-check", str(path)], capsys)
+        monkeypatch.setattr(sw, "component_eig_values", eig_values)
+        _, whole, _ = run(["hubbard-check", str(path)], capsys)
+        assert field(split, "result") == "pass"
+        assert body_lines(split) == body_lines(whole)
 
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "hub.txt"

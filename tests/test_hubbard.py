@@ -34,6 +34,7 @@ from hamlower.operators import (
     FermionOperator,
     PauliTerm,
     SpinHamiltonian,
+    component_eig_values,
     default_site_modes,
     eig_hermitian,
     eig_values,
@@ -251,25 +252,43 @@ class TestVerifyExchange:
             verify_exchange(HubbardModel(2, 1.0, 5.0, ((0, 1),)))
 
     def test_index_split_solves_four_matrices_and_no_qr(self, monkeypatch):
-        solved = []
+        solves = []  # (helper, matrix dim, largest block handed to eigvalsh)
+        blocks = []
+        eigvalsh = np.linalg.eigvalsh
 
-        def counted(matrix):
-            solved.append(np.shape(matrix))
-            return eig_values(matrix)
+        def sized(matrix, *args, **kwargs):
+            blocks.append(np.shape(matrix)[-1])
+            return eigvalsh(matrix, *args, **kwargs)
+
+        def counted(helper):
+            def solve(matrix):
+                blocks.clear()
+                values = helper(matrix)
+                solves.append((helper.__name__, np.shape(matrix)[0], max(blocks)))
+                return values
+            return solve
 
         def refuse(*args, **kwargs):
             raise AssertionError("QR factorization on the index split")
 
-        monkeypatch.setattr(sw, "eig_values", counted)
-        monkeypatch.setattr(hubbard, "eig_values", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", sized)
+        monkeypatch.setattr(sw, "eig_values", counted(eig_values))
+        monkeypatch.setattr(sw, "component_eig_values",
+                            counted(component_eig_values))
+        monkeypatch.setattr(hubbard, "eig_values", counted(eig_values))
         monkeypatch.setattr(np.linalg, "qr", refuse)
         ring = BUILD_MODELS["ring"]
         xyz = HubbardModel(ring.sites, ring.t, ring.u, ring.edges,
                            ((0.01, 0.02, -0.03), (0.0, -0.01, 0.02),
                             (0.03, 0.01, 0.0), (-0.02, 0.0, 0.01)))
         assert verify_exchange(xyz).passed
-        # low block, high block, v, h0 + v on the 70-state sector
-        assert solved == [(16, 16), (54, 54), (70, 70), (70, 70)]
+        # On the 70-state sector the low block and h0 + v are solved whole.
+        # The high block splits by site occupations (at most two singly
+        # occupied sites, so 4 spin states) and v by N-up (36 = 6 * 6).
+        assert solves == [("eig_values", 16, 16),
+                          ("component_eig_values", 54, 4),
+                          ("component_eig_values", 70, 36),
+                          ("eig_values", 70, 70)]
 
     @pytest.mark.parametrize("name", sorted(BUILD_MODELS))
     def test_split_keeps_hopping_real(self, name, monkeypatch):

@@ -147,6 +147,27 @@ class TestHamiltonianValidation:
         with pytest.raises(ValidationError):
             SecondQuantizedHamiltonian(np.zeros((2, 2)), w)
 
+    def test_two_body_symmetry_is_checked_on_nonzero_entries(self):
+        w = np.zeros((3, 3, 3, 3), dtype=complex)
+        w[0, 1, 2, 0] = 2.0 + 1.0j
+        w[0, 2, 1, 0] = 2.0 - 1.0j
+        SecondQuantizedHamiltonian(np.zeros((3, 3)), w)
+        # The tolerance scales with the largest entry, |2 + 1j| > 2.
+        w[0, 2, 1, 0] += 2e-10
+        SecondQuantizedHamiltonian(np.zeros((3, 3)), w)
+        w[0, 2, 1, 0] += 1e-9
+        with pytest.raises(ValidationError, match="violates"):
+            SecondQuantizedHamiltonian(np.zeros((3, 3)), w)
+        # One entry whose mirror (1, 1, 0, 2) is zero.
+        w[0, 2, 1, 0] = 2.0 - 1.0j
+        w[2, 0, 1, 1] = 1e-6
+        with pytest.raises(ValidationError, match="violates"):
+            SecondQuantizedHamiltonian(np.zeros((3, 3)), w)
+
+    def test_all_zero_two_body_is_accepted(self):
+        ham = SecondQuantizedHamiltonian(np.eye(2), np.zeros((2, 2, 2, 2)))
+        assert ham == SecondQuantizedHamiltonian(np.eye(2))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
             SecondQuantizedHamiltonian(np.zeros((2, 3)))

@@ -14,6 +14,7 @@ from hamlower.operators import (
     PauliTerm,
     SpinHamiltonian,
     apply_spin,
+    component_eig_values,
     dense_spin_limit,
     eig_hermitian,
     eig_values,
@@ -166,19 +167,22 @@ class TestLowSpectrum:
 
 
 class TestEigensolverChecks:
-    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian])
+    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian,
+                                       component_eig_values])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
     def test_non_finite_matrix_is_rejected(self, solve, bad):
         with pytest.raises(ValidationError, match="non-finite"):
             solve(np.array([[bad, 0], [0, 1.0]]))
 
-    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian])
+    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian,
+                                       component_eig_values])
     def test_inf_facing_a_finite_mirror_is_rejected(self, solve):
         # The difference is inf there, which an inf scale would excuse.
         with pytest.raises(ValidationError, match="non-finite"):
             solve(np.array([[0.0, np.inf], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian])
+    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian,
+                                       component_eig_values])
     def test_non_hermitian_matrix_is_rejected(self, solve):
         with pytest.raises(ValidationError, match="not Hermitian"):
             solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -216,6 +220,62 @@ class TestEigensolverChecks:
             solve(stack)
         with pytest.raises(ValidationError, match="square"):
             solve(stack[:, :, :3])
+
+
+class TestComponentEigValues:
+    @staticmethod
+    def permuted_blocks(rng, sizes, complex_entries):
+        """Hermitian blocks of the given sizes, with rows and columns shuffled."""
+        dim = sum(sizes)
+        matrix = np.zeros((dim, dim), dtype=complex if complex_entries else float)
+        start = 0
+        for size in sizes:
+            raw = rng.normal(size=(size, size))
+            if complex_entries:
+                raw = raw + 1j * rng.normal(size=(size, size))
+            matrix[start:start + size, start:start + size] = raw + raw.conj().T
+            start += size
+        perm = rng.permutation(dim)
+        return matrix[np.ix_(perm, perm)]
+
+    @staticmethod
+    def assert_matches_whole(matrix):
+        whole = eig_values(matrix)
+        split = component_eig_values(matrix)
+        assert split.shape == whole.shape
+        assert np.abs(split - whole).max() <= 1e-12 * np.abs(whole).max()
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_permuted_blocks_match_the_whole_solve(self, complex_entries):
+        rng = np.random.default_rng(7)
+        # Repeated sizes share one stacked solve; 1x1 blocks are isolated
+        # indices with a zero row.
+        matrix = self.permuted_blocks(rng, [1, 3, 5, 3, 1, 8, 5, 5, 2],
+                                      complex_entries)
+        matrix[0, 0] = 0.0
+        self.assert_matches_whole(matrix)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_one_component_matches_the_whole_solve(self, complex_entries):
+        matrix = self.permuted_blocks(np.random.default_rng(8), [12],
+                                      complex_entries)
+        self.assert_matches_whole(matrix)
+
+    def test_chain_is_one_component(self):
+        # A path needs several hooking rounds to reach one label.
+        dim = 40
+        matrix = np.diag(np.arange(dim, dtype=float))
+        idx = np.arange(dim - 1)
+        matrix[idx, idx + 1] = matrix[idx + 1, idx] = 1.0
+        perm = np.random.default_rng(9).permutation(dim)
+        self.assert_matches_whole(matrix[np.ix_(perm, perm)])
+
+    def test_one_by_one(self):
+        assert component_eig_values(np.array([[-2.5]])).tolist() == [-2.5]
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValidationError, match="one matrix"):
+            component_eig_values(np.zeros((2, 3, 3)))
 
 
 class TestPauliAlgebra:
