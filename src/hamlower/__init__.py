@@ -1,10 +1,11 @@
 """Hamiltonian lowering toolkit.
 
 Compiles 2-local spin Hamiltonians through mediator-gadget layers down to
-uniform Heisenberg couplings, hands those off to Hubbard models, and checks
-every step numerically: a Schrieffer-Wolff effective-Hamiltonian engine,
-dense exact diagonalization, a Slater-determinant mean-field solver, and a
-classical Ising embedding with an exhaustive oracle.
+uniform Heisenberg couplings and checks every step numerically: dense exact
+diagonalization of the compiled plan, a Schrieffer-Wolff
+effective-Hamiltonian engine that derives Heisenberg exchange from Hubbard
+models, a Slater-determinant mean-field solver, and a classical Ising
+embedding with an exhaustive oracle.
 
 The subpackages are importable directly; this module re-exports the error
 taxonomy and the headline entry points.
@@ -20,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .gadgets import compile, entangler_realization, verify_plan
-from .hubbard import HubbardModel, lower_to_hubbard, verify_exchange
+from .hubbard import HubbardModel, verify_exchange
 from .meanfield import (
     IsingInstance,
     SecondQuantizedHamiltonian,
@@ -52,7 +53,6 @@ __all__ = [
     "entangler_realization",
     "ising_oracle",
     "low_spectrum",
-    "lower_to_hubbard",
     "realize_spin",
     "scf_solve",
     "verify_exchange",

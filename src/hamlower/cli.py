@@ -16,6 +16,7 @@ verification or comparison fails, 2 for unusable inputs or flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import sys
@@ -64,8 +65,12 @@ class Report:
             self.lines.append(f"| {line}")
         self.lines.append("input-end")
 
-    def wall(self, stage: str, seconds: float) -> None:
-        self.headers.append(f"# wall {stage} {seconds:.3f}s")
+    @contextlib.contextmanager
+    def timed(self, stage: str):
+        """Times the ``with`` body as a ``# wall`` header line for ``stage``."""
+        start = time.perf_counter()
+        yield
+        self.headers.append(f"# wall {stage} {time.perf_counter() - start:.3f}s")
 
     def add(self, key: str, *values) -> None:
         self.lines.append(" ".join([key, *(_fmt(v) for v in values)]))
@@ -95,15 +100,12 @@ def _read(path: str) -> str:
 def cmd_compile(args) -> int:
     text = _read(args.input)
     report = Report("compile", text)
-    start = time.perf_counter()
-    source = spin_from_text(text)
-    report.wall("parse", time.perf_counter() - start)
-    start = time.perf_counter()
-    plan = compile(source, args.precision, safety=args.safety)
-    report.wall("compile", time.perf_counter() - start)
-    start = time.perf_counter()
-    Path(args.output).write_text(plan_to_text(plan), encoding="utf-8")
-    report.wall("write", time.perf_counter() - start)
+    with report.timed("parse"):
+        source = spin_from_text(text)
+    with report.timed("compile"):
+        plan = compile(source, args.precision, safety=args.safety)
+    with report.timed("write"):
+        Path(args.output).write_text(plan_to_text(plan), encoding="utf-8")
     report.headers.append(f"# wrote {args.output}")
     report.add("precision", plan.target_precision)
     report.add("safety", plan.safety)
@@ -125,12 +127,10 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     text = _read(args.input)
     report = Report("verify", text)
-    start = time.perf_counter()
-    plan = plan_from_text(text)
-    report.wall("parse", time.perf_counter() - start)
-    start = time.perf_counter()
-    ver = verify_plan(plan, tolerance_factor=args.tolerance_factor)
-    report.wall("verify", time.perf_counter() - start)
+    with report.timed("parse"):
+        plan = plan_from_text(text)
+    with report.timed("verify"):
+        ver = verify_plan(plan, tolerance_factor=args.tolerance_factor)
     report.add("tolerance-factor", ver.tolerance_factor)
     report.add("spins", plan.num_spins)
     report.add("heisenberg-couplings", len(plan.heisenberg))
@@ -144,12 +144,10 @@ def cmd_verify(args) -> int:
 def cmd_hubbard_check(args) -> int:
     text = _read(args.input)
     report = Report("hubbard-check", text)
-    start = time.perf_counter()
-    model = hubbard_from_text(text)
-    report.wall("parse", time.perf_counter() - start)
-    start = time.perf_counter()
-    check = verify_exchange(model)
-    report.wall("exchange", time.perf_counter() - start)
+    with report.timed("parse"):
+        model = hubbard_from_text(text)
+    with report.timed("exchange"):
+        check = verify_exchange(model)
     report.add("sites", model.sites)
     report.add("hopping", model.t)
     report.add("interaction", model.u)
@@ -165,13 +163,11 @@ def cmd_hubbard_check(args) -> int:
 def cmd_scf(args) -> int:
     text = _read(args.input)
     report = Report("scf", text)
-    start = time.perf_counter()
-    ham = second_quantized_from_text(text)
-    report.wall("parse", time.perf_counter() - start)
-    start = time.perf_counter()
-    result = scf_solve(ham, args.particles, restarts=args.restarts,
-                       seed=args.seed)
-    report.wall("scf", time.perf_counter() - start)
+    with report.timed("parse"):
+        ham = second_quantized_from_text(text)
+    with report.timed("scf"):
+        result = scf_solve(ham, args.particles, restarts=args.restarts,
+                           seed=args.seed)
     report.add("modes", ham.num_modes)
     report.add("particles", args.particles)
     report.add("restarts", args.restarts)
@@ -189,10 +185,9 @@ def cmd_scf(args) -> int:
 def cmd_ising(args) -> int:
     text = _read(args.input)
     report = Report("ising", text)
-    start = time.perf_counter()
-    instance = ising_from_text(text)
-    oracle = ising_oracle(instance)
-    report.wall("oracle", time.perf_counter() - start)
+    with report.timed("oracle"):
+        instance = ising_from_text(text)
+        oracle = ising_oracle(instance)
     report.add("length", instance.length)
     report.add("sites", instance.num_sites)
     report.add("nonzero-edges", len(instance.nonzero_edges()))
@@ -203,13 +198,12 @@ def cmd_ising(args) -> int:
         return report.finish()
     penalty = args.penalty if args.penalty is not None else \
         default_penalty(instance)
-    start = time.perf_counter()
-    embedding = embed_ising(instance, penalty)
-    result = scf_solve(embedding, instance.num_sites,
-                       restarts=args.restarts, seed=args.seed)
-    decoded = decode_spins(instance, result.state)
-    decoded_energy = classical_energy(instance, decoded)
-    report.wall("scf", time.perf_counter() - start)
+    with report.timed("scf"):
+        embedding = embed_ising(instance, penalty)
+        result = scf_solve(embedding, instance.num_sites,
+                           restarts=args.restarts, seed=args.seed)
+        decoded = decode_spins(instance, result.state)
+        decoded_energy = classical_energy(instance, decoded)
     report.add("penalty", float(penalty))
     report.add("restarts", args.restarts)
     report.add("seed", args.seed)

@@ -697,8 +697,12 @@ def verify_plan(plan: GadgetPlan, tolerance_factor: float = 10.0) -> PlanVerific
     ``ResourceLimitError`` when the source or the largest compiled component
     exceeds the dense limit; the source bound also caps the number of
     eigenvalues kept, since the component spectra are merged into 2^(source
-    spins) of them.
+    spins) of them.  ``tolerance_factor`` must be finite and positive.
     """
+    tolerance_factor = float(tolerance_factor)
+    if not (math.isfinite(tolerance_factor) and tolerance_factor > 0):
+        raise ValidationError(
+            f"tolerance factor must be finite and positive, got {tolerance_factor!r}")
     limit = dense_spin_limit()
     if plan.source.num_spins > limit:
         raise ResourceLimitError(
@@ -717,7 +721,7 @@ def verify_plan(plan: GadgetPlan, tolerance_factor: float = 10.0) -> PlanVerific
     tolerance = tolerance_factor * budget
     floor = float(np.finfo(float).eps
                   * sum(abs(t.coefficient) for t in plan.compiled.terms))
-    return PlanVerification(measured, budget, float(tolerance_factor), tolerance,
+    return PlanVerification(measured, budget, tolerance_factor, tolerance,
                             bool(measured <= tolerance), low, source_vals, floor)
 
 
@@ -918,24 +922,6 @@ class HistorySpec:
     @property
     def num_steps(self) -> int:
         return len(self.gates)
-
-
-def encode_time(t: int, num_steps: int):
-    """Unary clock bitstring for time t: t ones then zeros."""
-    if not 0 <= t <= num_steps:
-        raise ValidationError(f"time {t} outside [0, {num_steps}]")
-    return tuple(1 if i < t else 0 for i in range(num_steps))
-
-
-def decode_clock(bits) -> int:
-    """Time encoded by a legal domain-wall bitstring (ones then zeros)."""
-    bits = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in bits):
-        raise ValidationError("clock bits must be 0 or 1")
-    t = sum(bits)
-    if bits != encode_time(t, len(bits)):
-        raise ValidationError(f"illegal clock state {bits}: more than one domain wall")
-    return t
 
 
 def embed_gate(matrix, sites, num_spins) -> np.ndarray:

@@ -11,12 +11,6 @@ hopping produces the exchange interaction
 an antiferromagnetic coupling with singlet ground state and singlet-triplet
 splitting ``4 t**2 / U`` on a single edge.  ``verify_exchange`` rebuilds
 that prediction from the block-decoupling engine and compares elementwise.
-
-``lower_to_hubbard`` maps a compiled gadget plan's Heisenberg couplings onto
-lattice edges, solving ``t**2 / U = |J|`` for the hopping.  The map is a
-consistency check, not part of the verified chain: exchange couplings are
-always antiferromagnetic, so negative plan couplings are flagged rather
-than realized.
 """
 
 from __future__ import annotations
@@ -250,55 +244,6 @@ def singlet_triplet_splitting(model: HubbardModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Plan handoff
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HubbardLowering:
-    """Lattice realization of a plan's Heisenberg layer, for inspection.
-
-    ``sign_flips`` lists plan edges whose coupling is negative; exchange
-    cannot produce those, so the lattice realizes their magnitude only.
-    """
-
-    model: HubbardModel
-    exchange_strength: float
-    edge_couplings: tuple
-    sign_flips: tuple
-
-
-def lower_to_hubbard(plan, u=None) -> HubbardLowering:
-    """Map a compiled plan's couplings onto a Hubbard lattice via t**2/U = J.
-
-    All plan couplings must share one magnitude (they do by construction).
-    The default U sits at ``2 * (regime bound)**2 / J`` so the strong-coupling
-    guard holds with headroom.
-    """
-    couplings = tuple(plan.heisenberg)
-    if not couplings:
-        raise ValidationError("plan has no Heisenberg couplings to lower")
-    magnitudes = {abs(j) for _, _, j in couplings}
-    j0 = max(magnitudes)
-    if any(abs(m - j0) > 1e-9 * j0 for m in magnitudes):
-        raise ValidationError("plan couplings do not share one magnitude")
-    edges = tuple((a, b) for a, b, _ in couplings)
-    degree = {}
-    for a, b in edges:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    max_degree = max(degree.values())
-    if u is None:
-        u = 2.0 * (REGIME_FACTOR * max_degree) ** 2 * j0
-    u = float(u)
-    t = math.sqrt(u * j0)
-    model = HubbardModel(plan.num_spins, t, u, edges)
-    check_regime(model)
-    flips = tuple((a, b) for a, b, j in couplings if j < 0)
-    return HubbardLowering(model, j0, couplings, flips)
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
@@ -341,7 +286,7 @@ def hubbard_from_text(text: str) -> HubbardModel:
             edges.append((int(i), int(j)))
         except ValueError:
             raise reader.error(f"bad edges record {line!r}") from None
-    fields = [(0.0, 0.0, 0.0)] * sites
+    fields = {}
     for line in reader.counted("fields"):
         try:
             site, bx, by, bz = line.split()
@@ -350,7 +295,10 @@ def hubbard_from_text(text: str) -> HubbardModel:
             raise reader.error(f"bad fields record {line!r}") from None
         if not 0 <= site < sites:
             raise reader.error(f"field row targets site {site} outside the lattice")
+        if site in fields:
+            raise reader.error(f"field row for site {site} appears twice")
         fields[site] = row
+    fields = [fields.get(site, (0.0, 0.0, 0.0)) for site in range(sites)]
     operator = None if reader.at_end else _read_fermion(reader.section("operator"))
     reader.done()
     model = reader.build(HubbardModel, sites, t, u, tuple(edges), tuple(fields))

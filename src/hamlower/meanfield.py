@@ -32,7 +32,6 @@ import numpy as np
 from .errors import ResourceLimitError, ValidationError
 from .operators import (
     NEGLIGIBLE,
-    FermionOperator,
     FockSector,
     LineReader,
     eig_hermitian,
@@ -103,27 +102,6 @@ class SecondQuantizedHamiltonian:
 
     def __repr__(self):
         return f"SecondQuantizedHamiltonian(modes={self.num_modes})"
-
-
-def fermionic_operator(ham: SecondQuantizedHamiltonian) -> FermionOperator:
-    """Expand the coefficient tensors into an explicit operator."""
-    m = ham.num_modes
-    terms = []
-    for i in range(m):
-        for j in range(m):
-            c = ham.one_body[i, j]
-            if c != 0:
-                terms.append((c, ((i, True), (j, False))))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    c = ham.two_body[i, j, k, l]
-                    if c != 0:
-                        terms.append(
-                            (0.5 * c,
-                             ((i, True), (j, True), (k, False), (l, False))))
-    return FermionOperator(m, terms).normal_order()
 
 
 def _accumulate(out, flat, values):

@@ -258,8 +258,8 @@ def _term_action(term: PauliTerm, num_spins: int, cols: np.ndarray):
 def realize_spin(h: SpinHamiltonian, num_spins=None) -> np.ndarray:
     """Dense complex matrix of ``h`` with spin 0 as the leading tensor factor.
 
-    Refuses systems above the dense limit (see ``dense_spin_limit``); the
-    sparse ``apply_spin`` path has no such cap.
+    Refuses systems above the dense limit (see ``dense_spin_limit``) with
+    ``ResourceLimitError``.
     """
     n = h.num_spins if num_spins is None else int(num_spins)
     if n < h.num_spins:
@@ -275,20 +275,6 @@ def realize_spin(h: SpinHamiltonian, num_spins=None) -> np.ndarray:
     for term in h.terms:
         rows, phase = _term_action(term, n, cols)
         out[rows, cols] += phase
-    return out
-
-
-def apply_spin(h: SpinHamiltonian, vec: np.ndarray) -> np.ndarray:
-    """Matrix-free application of ``h`` to a state vector."""
-    n = h.num_spins
-    dim = 1 << n
-    if vec.shape[0] != dim:
-        raise ValidationError(f"state has dimension {vec.shape[0]}, expected {dim}")
-    cols = np.arange(dim, dtype=np.uint64)
-    out = np.zeros(dim, dtype=complex)
-    for term in h.terms:
-        rows, phase = _term_action(term, n, cols)
-        out[rows] += phase * vec
     return out
 
 
@@ -406,11 +392,11 @@ def low_spectrum(h: SpinHamiltonian, k: int) -> np.ndarray:
 
     ``h`` is split into the connected components of its interaction graph
     (``spin_components``), which act on separate tensor factors.  Each
-    component is relabelled onto its own sites and solved alone for its
-    lowest ``k`` eigenvalues: values-only dense diagonalization up to the
-    dense limit, Lanczos above it.  The spectra are merged as a Kronecker
-    sum, keeping the lowest ``k`` at each step, and the constant is added
-    once.
+    component is relabelled onto its own sites and solved alone, by
+    values-only dense diagonalization, for its lowest ``k`` eigenvalues; a
+    component above the dense limit raises ``ResourceLimitError``.  The
+    spectra are merged as a Kronecker sum, keeping the lowest ``k`` at each
+    step, and the constant is added once.
     """
     components = spin_components(h)
     local = {}
@@ -426,23 +412,9 @@ def low_spectrum(h: SpinHamiltonian, k: int) -> np.ndarray:
                 t.coefficient, tuple((local[s][1], a) for s, a in t.factors)))
     low = np.zeros(1)
     for sites, terms in zip(components, blocks):
-        vals = _block_low_spectrum(SpinHamiltonian(len(sites), terms), k)
+        vals = eig_values(realize_spin(SpinHamiltonian(len(sites), terms)))[:k]
         low = np.sort(np.add.outer(low, vals).ravel())[:k]
     return low + h.constant()
-
-
-def _block_low_spectrum(h: SpinHamiltonian, k: int) -> np.ndarray:
-    """Lowest ``min(k, 2**num_spins)`` eigenvalues of one component."""
-    n = h.num_spins
-    if n <= dense_spin_limit():
-        return eig_values(realize_spin(h))[:k]
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    dim = 1 << n
-    op = LinearOperator((dim, dim), matvec=lambda v: apply_spin(h, v), dtype=complex)
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    vals = eigsh(op, k=k, which="SA", v0=v0, return_eigenvectors=False)
-    return np.sort(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +518,6 @@ class FermionOperator:
 
     def __repr__(self):
         return f"FermionOperator(num_modes={self.num_modes}, terms={len(self.terms)})"
-
-
-def fermion_from_monomial(num_modes: int, coeff, mono) -> FermionOperator:
-    return FermionOperator(num_modes, [(coeff, tuple(mono))])
 
 
 class FockSector:
@@ -882,6 +850,3 @@ def _read_fermion(reader: LineReader) -> FermionOperator:
             raise reader.error(f"bad term {line!r}") from None
     return reader.build(FermionOperator, num_modes, terms)
 
-
-def fermion_from_text(text: str) -> FermionOperator:
-    return _read_fermion(LineReader.from_text(text, "fermion document"))

@@ -241,15 +241,22 @@ def _right_inverse(m, hc):
     return np.linalg.solve(hc, m.conj().T).conj().T
 
 
-def _x_blocks(split, h_low, h_high, e_bar, v, order):
+def _centered(h_high, e_bar):
+    """``H_high - Ebar``: the high block centered on the low block's mean."""
+    return h_high - e_bar * np.eye(h_high.shape[0])
+
+
+def _x_blocks(split, h_low, h_high, e_bar, v, order, z=None):
     """X1 = -V01 A and, at order 2, X2 = (V01 A V11 - (H0 + V00) V01 A) A.
 
     ``A`` inverts the centered high block and ``H0`` is the centered low
-    block; X2 is zero at order 1.
+    block; X2 is zero at order 1.  X1 is ``-z^H`` for the order-2 solve
+    ``z = A V10`` that ``effective_hamiltonian`` makes for ``h_eff``; it is
+    solved here only when no ``z`` is given.
     """
     v00, v01, v11 = split.blocks(v)
-    hc = h_high - e_bar * np.eye(h_high.shape[0])
-    y = _right_inverse(v01, hc)
+    hc = _centered(h_high, e_bar)
+    y = _right_inverse(v01, hc) if z is None else z.conj().T
     if order == 1:
         return -y, np.zeros_like(y)
     h0c = h_low - e_bar * np.eye(h_low.shape[0])
@@ -282,8 +289,8 @@ def assemble_generator(split: BlockSplit, x1, x2, epsilon) -> np.ndarray:
     return basis @ s_block @ basis.conj().T
 
 
-def _lazy_generator(split, h_low, h_high, e_bar, v, epsilon, order):
-    x1, x2 = _x_blocks(split, h_low, h_high, e_bar, v, order)
+def _lazy_generator(split, h_low, h_high, e_bar, v, epsilon, order, z):
+    x1, x2 = _x_blocks(split, h_low, h_high, e_bar, v, order, z)
     return assemble_generator(split, x1, x2, epsilon)
 
 
@@ -325,12 +332,16 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, split=None,
             stacklevel=2)
     v00, v01, _ = split.blocks(v)
     h_eff = h_low + epsilon * v00
+    z = None
     if order == 2:
-        hc = h_high - e_bar * np.eye(h_high.shape[0])
-        h_eff = h_eff - epsilon ** 2 * (v01 @ np.linalg.solve(hc, v01.conj().T))
+        z = np.linalg.solve(_centered(h_high, e_bar), v01.conj().T)
+        h_eff = h_eff - epsilon ** 2 * (v01 @ z)
         error_budget = epsilon ** 3 * v_norm ** 3 / gap ** 2
     else:
         error_budget = epsilon ** 2 * v_norm ** 2 / gap
     h_eff = (h_eff + h_eff.conj().T) / 2
-    build = partial(_lazy_generator, split, h_low, h_high, e_bar, v, epsilon, order)
+    # The generator keeps z, not the centered block: an order-2 result
+    # holds no second high-block-sized array.
+    build = partial(_lazy_generator, split, h_low, h_high, e_bar, v, epsilon,
+                    order, z)
     return SWResult(split, epsilon, order, h_eff, v_norm, error_budget, build)

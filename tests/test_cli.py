@@ -171,6 +171,21 @@ class TestVerify:
         assert field(report, "spins") == "18"
         assert field(report, "result") == "pass"
 
+    def test_every_stage_has_a_wall_line(self, plan_file, capsys):
+        _, report, _ = run(["verify", str(plan_file)], capsys)
+        stages = [line.split()[2] for line in report.splitlines()
+                  if line.startswith("# wall ")]
+        assert stages == ["parse", "verify"]
+
+    @pytest.mark.parametrize("factor", ["inf", "nan", "0", "-1"])
+    def test_tolerance_factor_must_be_finite_and_positive(
+            self, plan_file, capsys, factor):
+        code, report, err = run(
+            ["verify", str(plan_file), "--tolerance-factor", factor], capsys)
+        assert code == 2
+        assert report == ""
+        assert "tolerance factor must be finite and positive" in err
+
     def test_tight_tolerance_fails_with_exit_one(self, plan_file, capsys):
         code, report, _ = run(
             ["verify", str(plan_file), "--tolerance-factor", "1e-12"],
@@ -388,6 +403,16 @@ class TestIsing:
         assert field(first, "scf-iterations") == "500"
         assert field(first, "scf-restarts-converged") == "0"
 
+    @pytest.mark.parametrize("mode, want", [("--oracle", ["oracle"]),
+                                            ("--scf", ["oracle", "scf"])])
+    def test_every_stage_has_a_wall_line(self, tmp_path, capsys, mode, want):
+        path = tmp_path / "ising.txt"
+        path.write_text(SINGLE_BOND)
+        _, report, _ = run(["ising", str(path), mode, "--restarts", "2"], capsys)
+        stages = [line.split()[2] for line in report.splitlines()
+                  if line.startswith("# wall ")]
+        assert stages == want
+
     def test_low_penalty_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "ising.txt"
         path.write_text(SINGLE_BOND)
@@ -433,3 +458,26 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_workflows_run_without_scipy(self, tmp_path):
+        # A None entry in sys.modules makes every scipy import fail.
+        (tmp_path / "src.txt").write_text(SOURCE_TEXT)
+        (tmp_path / "hub.txt").write_text(
+            hubbard_to_text(HubbardModel(2, 1.0, 100.0, ((0, 1),))))
+        (tmp_path / "sq.txt").write_text(
+            second_quantized_to_text(small_interacting_instance()))
+        (tmp_path / "ising.txt").write_text(SINGLE_BOND)
+        runs = [["compile", "src.txt", "--precision", "0.5", "--output", "plan.txt"],
+                ["verify", "plan.txt"],
+                ["hubbard-check", "hub.txt"],
+                ["scf", "sq.txt", "--particles", "2", "--restarts", "4",
+                 "--seed", "1"],
+                ["ising", "ising.txt", "--scf", "--restarts", "4"]]
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from hamlower.cli import main; "
+                f"print([main(argv) for argv in {runs!r}])")
+        src = str(Path(hamlower.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]"

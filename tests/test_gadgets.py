@@ -29,11 +29,9 @@ from hamlower.gadgets import (
     MediatorGadget,
     build_history_hamiltonian,
     cross_element,
-    decode_clock,
     dressed_element,
     dressed_states,
     embed_gate,
-    encode_time,
     entangler_realization,
     frozen_cross_residuals,
     gadget_hamiltonian,
@@ -741,27 +739,6 @@ FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 CNOT = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 NAN_FLIP = np.array([[np.nan, 1.0], [1.0, 0.0]])
-
-
-class TestClockEncoding:
-    def test_round_trip_all_times(self):
-        for steps in range(1, 9):
-            for t in range(steps + 1):
-                assert decode_clock(encode_time(t, steps)) == t
-
-    def test_specific_encoding(self):
-        assert encode_time(3, 5) == (1, 1, 1, 0, 0)
-        assert decode_clock((1, 1, 1, 0)) == 3
-
-    def test_illegal_states_rejected(self):
-        with pytest.raises(ValidationError):
-            decode_clock((1, 0, 1))
-        with pytest.raises(ValidationError):
-            decode_clock((0, 1))
-        with pytest.raises(ValidationError):
-            decode_clock((0, 2))
-        with pytest.raises(ValidationError):
-            encode_time(4, 3)
 
 
 class TestEmbedGate:

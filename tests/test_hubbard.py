@@ -11,7 +11,6 @@ from hamlower.errors import (
     ResourceLimitError,
     ValidationError,
 )
-from hamlower import gadgets
 from hamlower.hubbard import (
     HubbardModel,
     build_hubbard,
@@ -24,7 +23,6 @@ from hamlower.hubbard import (
     hubbard_from_text,
     hubbard_to_text,
     interaction_operator,
-    lower_to_hubbard,
     singlet_triplet_splitting,
     verify_exchange,
 )
@@ -38,7 +36,6 @@ from hamlower.operators import (
     default_site_modes,
     eig_hermitian,
     eig_values,
-    fermion_from_monomial,
     jordan_map_spin_to_fermion,
     realize_fermion,
     realize_spin,
@@ -94,14 +91,14 @@ def reference_hubbard(model):
         for spin in (0, 1):
             a = default_site_modes(i)[spin]
             b = default_site_modes(j)[spin]
-            out = out + fermion_from_monomial(
-                modes, -model.t, ((a, True), (b, False)))
-            out = out + fermion_from_monomial(
-                modes, -model.t, ((b, True), (a, False)))
+            out = out + FermionOperator(
+                modes, [(-model.t, ((a, True), (b, False)))])
+            out = out + FermionOperator(
+                modes, [(-model.t, ((b, True), (a, False)))])
     for site in range(model.sites):
         up, down = default_site_modes(site)
-        out = out + fermion_from_monomial(
-            modes, model.u, ((up, True), (up, False), (down, True), (down, False)))
+        out = out + FermionOperator(
+            modes, [(model.u, ((up, True), (up, False), (down, True), (down, False)))])
     for site, row in enumerate(model.fields):
         for axis, b in zip(AXES, row):
             if b != 0.0:
@@ -306,41 +303,6 @@ class TestVerifyExchange:
         assert seen == [(y_field, False)]
 
 
-class TestLowering:
-    def plan(self):
-        src = SpinHamiltonian(2, [PauliTerm(0.5, [(0, "X"), (1, "Y")])])
-        return gadgets.compile(src, 0.5)
-
-    def test_edges_match_plan_couplings(self):
-        plan = self.plan()
-        lowering = lower_to_hubbard(plan)
-        assert len(lowering.model.edges) == len(plan.heisenberg)
-        assert lowering.model.edges == tuple((a, b) for a, b, _ in plan.heisenberg)
-
-    def test_hopping_solves_exchange_strength(self):
-        lowering = lower_to_hubbard(self.plan())
-        m = lowering.model
-        assert m.t ** 2 / m.u == pytest.approx(lowering.exchange_strength,
-                                               rel=1e-12)
-        check_regime(m)
-
-    def test_negative_couplings_are_flagged(self):
-        plan = self.plan()
-        lowering = lower_to_hubbard(plan)
-        negatives = tuple((a, b) for a, b, j in plan.heisenberg if j < 0)
-        assert lowering.sign_flips == negatives
-        assert len(negatives) == 2
-
-    def test_explicit_u(self):
-        lowering = lower_to_hubbard(self.plan(), u=1e12)
-        assert lowering.model.u == 1e12
-
-    def test_empty_plan_rejected(self):
-        src = SpinHamiltonian(2, [PauliTerm(0.5, [(1, "Z")])])
-        with pytest.raises(ValidationError):
-            lower_to_hubbard(gadgets.compile(src, 0.5))
-
-
 class TestSerialization:
     def test_round_trip_plain(self):
         m = HubbardModel(3, 1.5, 60.0, ((0, 1), (1, 2)))
@@ -370,6 +332,19 @@ class TestSerialization:
             hubbard_from_text(good.replace("0 1\n", "0 1 9\n"))
         with pytest.raises(ParseError):
             hubbard_from_text("hubbard\nsites 2\nt 1.0\n")
+
+    def test_second_field_row_for_a_site_is_rejected(self):
+        text = ("hubbard\nsites 2\nt 1.0\nU 100.0\nedges 1\n0 1\n"
+                "fields 2\n0 0.5 0 0\n0 0 0 0.25\n")
+        with pytest.raises(ParseError, match="line 9: .*site 0 appears twice"):
+            hubbard_from_text(text)
+
+    def test_operator_section_parse_errors(self):
+        header = hubbard_to_text(dimer()).split("operator\n")[0]
+        with pytest.raises(ParseError, match="line 10"):
+            hubbard_from_text(header + "operator\nmodes 4\n1.0 *1\nend\n")
+        with pytest.raises(ParseError, match="mode 5"):
+            hubbard_from_text(header + "operator\nmodes 4\n1.0 +5\nend\n")
 
     def test_trailing_content_is_rejected(self):
         y_field = dimer(fields=((0.0, 0.4, 0.0), (0.0, 0.0, 0.0)))

@@ -172,6 +172,26 @@ class TestLazyGenerator:
         assert np.allclose(result.generator, want, atol=1e-12)
         assert result.generator is result.generator
 
+    @pytest.mark.parametrize("order, solves", [(1, 1), (2, 2)])
+    def test_one_centered_solve_serves_h_eff_and_generator(
+            self, order, solves, monkeypatch):
+        # At order 2, h_eff's solve also gives X1; only X2 solves again.
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        h0, v = gapped_instance(np.random.default_rng(29))
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        result = effective_hamiltonian(h0, v, 0.05, order=order, threshold=0.5)
+        result.generator
+        assert len(calls) == solves
+        calls.clear()
+        generator_blocks(h0, v, result.split)
+        assert len(calls) == 2
+
     def test_exchange_check_never_builds_it(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("generator assembled")
