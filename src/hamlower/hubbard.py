@@ -280,12 +280,18 @@ def hubbard_from_text(text: str) -> HubbardModel:
     t = reader.field("t", float)
     u = reader.field("U", float)
     edges = []
+    seen = set()
     for line in reader.counted("edges"):
         try:
             i, j = line.split()
-            edges.append((int(i), int(j)))
+            i, j = int(i), int(j)
         except ValueError:
             raise reader.error(f"bad edges record {line!r}") from None
+        bond = (min(i, j), max(i, j))
+        if bond in seen:
+            raise reader.error(f"edge ({i}, {j}) appears twice")
+        seen.add(bond)
+        edges.append((i, j))
     fields = {}
     for line in reader.counted("fields"):
         try:

@@ -5,10 +5,11 @@ A problem instance is a second-quantized Hamiltonian
     H = sum_ij h_ij a+_i a_j + (1/2) sum_ijkl w_ijkl a+_i a+_j a_k a_l
 
 with Hermitian one-body part and two-body symmetry ``w_ijkl = conj(w_lkji)``.
-The solver minimizes the Slater-determinant energy functional by damped
-Roothaan iteration over several deterministic restarts, run in lockstep, and
-reports the best determinant found; the result is variational, never below
-the exact ground energy.
+The solver minimizes the Slater-determinant energy functional by Roothaan
+iteration over several deterministic restarts, run in lockstep: a damped
+start, then Pulay DIIS once a restart's commutator ``||FD - DF||_F`` falls
+to ``SCF_DIIS_START``.  It reports the best determinant found; the result is
+variational, never below the exact ground energy.
 
 Density conventions: ``D = u @ u.conj().T`` so ``D[q, p] = <a+_p a_q>``.
 The Wick energy and the Fock matrix (the energy gradient) follow from that
@@ -42,7 +43,9 @@ from .operators import (
 
 HERMITICITY_ATOL = 1e-10
 
-SCF_DAMPING = 0.5       # share of the fresh density mixed in per iteration
+SCF_DAMPING = 0.5       # share of the fresh density mixed in per damped iteration
+SCF_DIIS_START = 0.1    # commutator norm ||FD - DF||_F at or below which DIIS runs
+SCF_DIIS_HISTORY = 8    # Fock matrices one DIIS extrapolation spans
 SCF_TOLERANCE = 1e-8    # density update (Frobenius norm) that ends a restart
 # Restarts whose energies differ by less than this share of max(1, |E|)
 # reached the same determinant; the lowest such restart is reported.
@@ -222,24 +225,44 @@ def _fock_builder(h, w):
     ``(R, m, m)`` of them and builds every Fock matrix in that one product.
     """
     m = h.shape[0]
+    # The Hermitian part of h, taken once: the Fock matrix is not symmetrized
+    # per build, so it is Hermitian up to the kernel product's rounding, and
+    # the eigensolver's check is the one Hermiticity pass per iteration.
+    h = 0.5 * (h + h.conj().T)
     a, b, c, d = np.nonzero(w)
+
+    def reached(*flat):
+        """The distinct flat indices among ``flat``, ascending."""
+        mask = np.zeros(m * m, dtype=bool)
+        for index in flat:
+            mask[index] = True
+        return np.flatnonzero(mask)
+
     # kernel[p*m + q, x*m + y] = (w_pyxq + w_ypqx - w_pyqx - w_ypxq) / 2
-    rows = np.unique(np.concatenate([a * m + d, b * m + c, a * m + c, b * m + d]))
-    cols = np.unique(np.concatenate([c * m + b, d * m + a, d * m + b, c * m + a]))
+    rows = reached(a * m + d, b * m + c, a * m + c, b * m + d)
+    cols = reached(c * m + b, d * m + a, d * m + b, c * m + a)
     p, q = np.divmod(rows[:, None], m)
     x, y = np.divmod(cols, m)
     kernel = 0.5 * (w[p, y, x, q] + w[y, p, q, x] - w[p, y, q, x] - w[y, p, x, q])
-    # Transposed, so that flattened densities multiply it from the left.
-    kernel = np.ascontiguousarray(kernel.T)
+    real = not kernel.imag.any()
+    # A real kernel multiplies each density's (real, imaginary) pairs from
+    # the right: one real product instead of a complex one.  A complex kernel
+    # is transposed, so that flattened densities multiply it from the left.
+    kernel = np.ascontiguousarray(kernel.real if real else kernel.T)
     # A complete index set indexes as a slice: a view, not a gather.
     rows, cols = (slice(None) if index.size == m * m else index for index in (rows, cols))
 
     def fock(density):
         flat = density.reshape(*density.shape[:-2], m * m)
+        picked = np.ascontiguousarray(flat[..., cols], dtype=complex)
+        if real:
+            pairs = picked.view(np.float64).reshape(*picked.shape, 2)
+            product = (kernel @ pairs).view(complex)[..., 0]
+        else:
+            product = picked @ kernel
         interaction = np.zeros(flat.shape, dtype=complex)
-        interaction[..., rows] = flat[..., cols] @ kernel
-        f = h + interaction.reshape(density.shape)
-        return 0.5 * (f + f.conj().swapaxes(-2, -1))
+        interaction[..., rows] = product
+        return h + interaction.reshape(density.shape)
 
     return fock
 
@@ -278,16 +301,64 @@ def _haar_orbitals(rng, num_modes, num_particles):
     return q[:, :num_particles]
 
 
+def _pulay_weights(gram, used, solve, newest):
+    """Pulay DIIS coefficients of a stack of histories, one stacked solve.
+
+    ``gram`` ``(k, S, S)`` holds the real inner products of each history's
+    error vectors, ``used`` ``(k, S)`` marks the slots each history holds,
+    and slot ``newest`` holds every history's latest entry.  The histories
+    that ``solve`` ``(k,)`` marks need two entries or more and a nonzero
+    newest error; every other history puts its whole weight on its newest
+    entry, as does one whose bordered system is singular or gives
+    non-finite coefficients.  Each Gram block is scaled by its largest used
+    diagonal entry and bordered by the sum-to-one constraint; an unused slot
+    reads as an identity row, so its coefficient solves to zero.
+    """
+    k, slots = used.shape
+    weights = np.zeros((k, slots))
+    weights[:, newest] = 1.0
+    solve = np.flatnonzero(solve)
+    used = used[solve]
+    gram = gram[solve]
+    scale = np.where(used, gram.diagonal(axis1=1, axis2=2), 0.0).max(axis=1)
+    system = np.zeros((solve.size, slots + 1, slots + 1))
+    system[:, :slots, :slots] = np.where(used[:, :, None] & used[:, None, :],
+                                         gram / scale[:, None, None], np.eye(slots))
+    system[:, :slots, slots] = system[:, slots, :slots] = np.where(used, -1.0, 0.0)
+    rhs = np.zeros((solve.size, slots + 1, 1))
+    rhs[:, slots] = -1.0
+    try:
+        found = np.linalg.solve(system, rhs)[:, :slots, 0]
+    except np.linalg.LinAlgError:
+        # Solved one at a time, so that only the singular systems fall back.
+        found = np.full((solve.size, slots), np.nan)
+        for r in range(solve.size):
+            try:
+                found[r] = np.linalg.solve(system[r], rhs[r])[:slots, 0]
+            except np.linalg.LinAlgError:
+                pass
+    finite = np.isfinite(found).all(axis=1)
+    weights[solve[finite]] = found[finite]
+    return weights
+
+
 def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
               restarts: int = 16, seed: int = 0, max_iterations: int = 500,
               xc=None) -> SCFResult:
-    """Damped Roothaan iteration from several deterministic starting points.
+    """Roothaan iteration, a damped start and then Pulay DIIS, from several
+    deterministic starting points.
 
     Restart 0 occupies the lowest orbitals of the one-body part; the others
     are seeded Haar-random frames.  All restarts iterate
-    diagonalize-occupy-mix in lockstep, one stacked Fock build and one
-    stacked eigensolve per iteration, with damping ``SCF_DAMPING``.  A
-    restart leaves the stack once its raw density update falls below
+    build-diagonalize-occupy in lockstep, one stacked Fock build and one
+    stacked eigensolve per iteration.  A restart whose commutator
+    ``||FD - DF||_F`` exceeds ``SCF_DIIS_START`` diagonalizes its Fock
+    matrix, mixes ``SCF_DAMPING`` of the fresh density into its current one,
+    and forgets its DIIS history.  At or below that threshold it stores the
+    Fock matrix with the commutator as its error vector, diagonalizes the
+    Pulay extrapolation (Chem. Phys. Lett. 73, 393 (1980)) over its last
+    ``SCF_DIIS_HISTORY`` stored matrices, and takes the fresh density whole.
+    A restart leaves the stack once its raw density update falls below
     ``SCF_TOLERANCE`` in Frobenius norm.  The reported restart is the lowest
     index whose energy lies within ``SCF_ENERGY_TIE`` (relative) of the
     lowest energy; non-convergence is reported, never raised.
@@ -311,12 +382,45 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
     residuals = np.empty((max_iterations, restarts))
     iterations = np.full(restarts, max_iterations)
     converged = np.zeros(restarts, dtype=bool)
+    slots = SCF_DIIS_HISTORY
+    # Each live restart's DIIS history: ring buffers of Fock matrices, their
+    # commutators and the commutators' Gram matrix.  An iteration with any
+    # restart in DIIS writes slot ``iteration % slots`` of every history.  A
+    # restart holds the entries of its last ``stored`` iterations: the slots
+    # written fewer than ``stored`` iterations ago.
+    focks = np.zeros((restarts, slots, m, m), dtype=complex)
+    errors = np.zeros((restarts, slots, m * m), dtype=complex)
+    gram = np.zeros((restarts, slots, slots))
+    stored = np.zeros(restarts, dtype=np.intp)
     for iteration in range(max_iterations):
-        u = eig_hermitian(fock(density)).vectors[..., :num_particles]
-        update = u @ u.conj().swapaxes(-2, -1) - density
+        f = fock(density)
+        fd = f @ density
+        # FD - DF, as DF = (FD)^dagger for Hermitian F and D.
+        error = (fd - fd.conj().swapaxes(-2, -1)).reshape(live.size, -1)
+        norms = np.sqrt(np.vecdot(error, error).real)
+        diis = norms <= SCF_DIIS_START
+        stored = np.where(diis, stored + 1, 0)
+        if diis.any():
+            slot = iteration % slots
+            focks[:, slot] = f
+            errors[:, slot] = error
+            gram[:, slot] = gram[:, :, slot] = np.vecdot(errors, error[:, None]).real
+            # A zero newest error is already the least: nothing to solve.
+            solve = (stored > 1) & (norms > 0)
+            if solve.any():
+                age = (slot - np.arange(slots)) % slots
+                weights = _pulay_weights(gram, age < stored[:, None], solve, slot)
+                f = (weights[:, None, :] @ focks.reshape(live.size, slots, -1)).reshape(f.shape)
+                # Coefficients can sum to 1e5 in magnitude and amplify each
+                # F's rounding-level asymmetry toward the eigensolver's
+                # Hermiticity tolerance, so an extrapolation is symmetrized.
+                f = 0.5 * (f + f.conj().swapaxes(-2, -1))
+        u = eig_hermitian(f).vectors[..., :num_particles]
+        fresh = u @ u.conj().swapaxes(-2, -1)
+        update = fresh - density
         flat = update.reshape(live.size, -1)
         steps = np.sqrt(np.vecdot(flat, flat).real)   # Frobenius norms
-        density = density + SCF_DAMPING * update
+        density = np.where(diis[:, None, None], fresh, density + SCF_DAMPING * update)
         residuals[iteration, live] = steps
         done = steps <= SCF_TOLERANCE
         if done.any():
@@ -324,7 +428,9 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
             orbitals[leaving] = u[done]
             iterations[leaving] = iteration + 1
             converged[leaving] = True
-            live, u, density = live[~done], u[~done], density[~done]
+            keep = ~done
+            live, u, density = live[keep], u[keep], density[keep]
+            focks, errors, gram, stored = focks[keep], errors[keep], gram[keep], stored[keep]
             if not live.size:
                 break
     orbitals[live] = u

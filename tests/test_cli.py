@@ -394,8 +394,10 @@ class TestIsing:
         assert (float(field(report, "scf-residual")) <= 1e-8) == converged
 
     def test_scf_body_is_deterministic(self, tmp_path, capsys):
+        # Neither restart converges on this glass: the body pins the full
+        # convergence story.
         path = tmp_path / "ising.txt"
-        path.write_text(ising_to_text(random_instance(2, 0)))
+        path.write_text(ising_to_text(random_instance(2, 1)))
         argv = ["ising", str(path), "--scf", "--restarts", "2", "--seed", "3"]
         _, first, _ = run(argv, capsys)
         _, second, _ = run(argv, capsys)

@@ -339,6 +339,12 @@ class TestSerialization:
         with pytest.raises(ParseError, match="line 9: .*site 0 appears twice"):
             hubbard_from_text(text)
 
+    def test_repeated_edge_names_its_line(self):
+        text = ("hubbard\nsites 2\nt 1.0\nU 100.0\nedges 2\n0 1\n1 0\n"
+                "fields 0\n")
+        with pytest.raises(ParseError, match=r"line 7: .*edge \(1, 0\) appears twice"):
+            hubbard_from_text(text)
+
     def test_operator_section_parse_errors(self):
         header = hubbard_to_text(dimer()).split("operator\n")[0]
         with pytest.raises(ParseError, match="line 10"):
