@@ -223,45 +223,40 @@ def _fock_builder(h, w):
     entry of ``w`` reaches are built, so each build is one product with a
     row-and-column-restricted kernel.  The map takes one density or a stack
     ``(R, m, m)`` of them and builds every Fock matrix in that one product.
+
+    The builder reads the Hermitian part of ``h`` and the mirror-symmetric
+    part ``v_ijkl = (w_ijkl + conj(w_lkji)) / 2`` of ``w``, taken once.
+    Kernel entries ``(pq, xy)`` and ``(qp, yx)`` are then exact conjugates,
+    so the Fock matrix of a Hermitian density is Hermitian up to the
+    product's rounding and is not symmetrized per build: the eigensolver's
+    check is the one Hermiticity pass per iteration.
     """
     m = h.shape[0]
-    # The Hermitian part of h, taken once: the Fock matrix is not symmetrized
-    # per build, so it is Hermitian up to the kernel product's rounding, and
-    # the eigensolver's check is the one Hermiticity pass per iteration.
     h = 0.5 * (h + h.conj().T)
     a, b, c, d = np.nonzero(w)
+    rows = np.unique(np.concatenate([a * m + d, b * m + c, a * m + c, b * m + d]))
+    # The columns that w reaches are these rows transposed, and v reaches
+    # both: one index set for rows and columns, closed under pq -> qp.
+    index = np.union1d(rows, rows % m * m + rows // m)
+    p, q = np.divmod(index[:, None], m)
+    x, y = np.divmod(index, m)
 
-    def reached(*flat):
-        """The distinct flat indices among ``flat``, ascending."""
-        mask = np.zeros(m * m, dtype=bool)
-        for index in flat:
-            mask[index] = True
-        return np.flatnonzero(mask)
+    def v(i, j, k, l):
+        return w[i, j, k, l] + w[l, k, j, i].conj()    # 2 v_ijkl
 
-    # kernel[p*m + q, x*m + y] = (w_pyxq + w_ypqx - w_pyqx - w_ypxq) / 2
-    rows = reached(a * m + d, b * m + c, a * m + c, b * m + d)
-    cols = reached(c * m + b, d * m + a, d * m + b, c * m + a)
-    p, q = np.divmod(rows[:, None], m)
-    x, y = np.divmod(cols, m)
-    kernel = 0.5 * (w[p, y, x, q] + w[y, p, q, x] - w[p, y, q, x] - w[y, p, x, q])
-    real = not kernel.imag.any()
-    # A real kernel multiplies each density's (real, imaginary) pairs from
-    # the right: one real product instead of a complex one.  A complex kernel
-    # is transposed, so that flattened densities multiply it from the left.
-    kernel = np.ascontiguousarray(kernel.real if real else kernel.T)
+    # kernel[p*m + q, x*m + y] = (v_pyxq + v_ypqx - v_pyqx - v_ypxq) / 2,
+    # grouped so that the conjugate of entry (qp, yx) adds the same terms.
+    kernel = 0.25 * ((v(p, y, x, q) + v(y, p, q, x)) - (v(p, y, q, x) + v(y, p, x, q)))
+    # Transposed, so that flattened densities multiply it from the left.
+    kernel = np.ascontiguousarray(kernel.T)
     # A complete index set indexes as a slice: a view, not a gather.
-    rows, cols = (slice(None) if index.size == m * m else index for index in (rows, cols))
+    if index.size == m * m:
+        index = slice(None)
 
     def fock(density):
         flat = density.reshape(*density.shape[:-2], m * m)
-        picked = np.ascontiguousarray(flat[..., cols], dtype=complex)
-        if real:
-            pairs = picked.view(np.float64).reshape(*picked.shape, 2)
-            product = (kernel @ pairs).view(complex)[..., 0]
-        else:
-            product = picked @ kernel
         interaction = np.zeros(flat.shape, dtype=complex)
-        interaction[..., rows] = product
+        interaction[..., index] = flat[..., index] @ kernel
         return h + interaction.reshape(density.shape)
 
     return fock
@@ -301,44 +296,37 @@ def _haar_orbitals(rng, num_modes, num_particles):
     return q[:, :num_particles]
 
 
-def _pulay_weights(gram, used, solve, newest):
+def _pulay_weights(gram, used, newest):
     """Pulay DIIS coefficients of a stack of histories, one stacked solve.
 
     ``gram`` ``(k, S, S)`` holds the real inner products of each history's
     error vectors, ``used`` ``(k, S)`` marks the slots each history holds,
-    and slot ``newest`` holds every history's latest entry.  The histories
-    that ``solve`` ``(k,)`` marks need two entries or more and a nonzero
-    newest error; every other history puts its whole weight on its newest
-    entry, as does one whose bordered system is singular or gives
-    non-finite coefficients.  Each Gram block is scaled by its largest used
-    diagonal entry and bordered by the sum-to-one constraint; an unused slot
-    reads as an identity row, so its coefficient solves to zero.
+    and slot ``newest`` holds every history's latest entry.  Each Gram block
+    is scaled by its largest used diagonal entry and bordered by the
+    sum-to-one constraint; an unused slot reads as an identity row, so its
+    coefficient solves to zero.  A history whose bordered system is singular
+    or gives non-finite coefficients puts its whole weight on its newest
+    entry.
     """
     k, slots = used.shape
-    weights = np.zeros((k, slots))
-    weights[:, newest] = 1.0
-    solve = np.flatnonzero(solve)
-    used = used[solve]
-    gram = gram[solve]
     scale = np.where(used, gram.diagonal(axis1=1, axis2=2), 0.0).max(axis=1)
-    system = np.zeros((solve.size, slots + 1, slots + 1))
+    system = np.zeros((k, slots + 1, slots + 1))
     system[:, :slots, :slots] = np.where(used[:, :, None] & used[:, None, :],
                                          gram / scale[:, None, None], np.eye(slots))
     system[:, :slots, slots] = system[:, slots, :slots] = np.where(used, -1.0, 0.0)
-    rhs = np.zeros((solve.size, slots + 1, 1))
+    rhs = np.zeros((k, slots + 1, 1))
     rhs[:, slots] = -1.0
     try:
-        found = np.linalg.solve(system, rhs)[:, :slots, 0]
+        weights = np.linalg.solve(system, rhs)[:, :slots, 0]
     except np.linalg.LinAlgError:
         # Solved one at a time, so that only the singular systems fall back.
-        found = np.full((solve.size, slots), np.nan)
-        for r in range(solve.size):
+        weights = np.full((k, slots), np.nan)
+        for r in range(k):
             try:
-                found[r] = np.linalg.solve(system[r], rhs[r])[:slots, 0]
+                weights[r] = np.linalg.solve(system[r], rhs[r])[:slots, 0]
             except np.linalg.LinAlgError:
                 pass
-    finite = np.isfinite(found).all(axis=1)
-    weights[solve[finite]] = found[finite]
+    weights[~np.isfinite(weights).all(axis=1)] = np.eye(slots)[newest]
     return weights
 
 
@@ -358,10 +346,17 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
     Fock matrix with the commutator as its error vector, diagonalizes the
     Pulay extrapolation (Chem. Phys. Lett. 73, 393 (1980)) over its last
     ``SCF_DIIS_HISTORY`` stored matrices, and takes the fresh density whole.
-    A restart leaves the stack once its raw density update falls below
-    ``SCF_TOLERANCE`` in Frobenius norm.  The reported restart is the lowest
-    index whose energy lies within ``SCF_ENERGY_TIE`` (relative) of the
-    lowest energy; non-convergence is reported, never raised.
+    A zero commutator is a stationary point of the restart's own Fock
+    matrix: the restart diagonalizes that matrix, takes the fresh density
+    whole and empties its history.  A restart leaves the stack once its raw
+    density update falls below ``SCF_TOLERANCE`` in Frobenius norm, or,
+    unconverged, once two zero-commutator iterations bring its density back
+    bit for bit to where it was two iterations earlier: it would repeat
+    those two iterations to the end, so it takes the orbitals and residuals
+    of the full run at once (restart 0 of an Ising embedding does this from
+    its third iteration on).  The reported restart is the lowest index
+    whose energy lies within ``SCF_ENERGY_TIE`` (relative) of the lowest
+    energy; non-convergence is reported, never raised.
     """
     m = ham.num_modes
     if not 1 <= num_particles <= m:
@@ -384,14 +379,17 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
     converged = np.zeros(restarts, dtype=bool)
     slots = SCF_DIIS_HISTORY
     # Each live restart's DIIS history: ring buffers of Fock matrices, their
-    # commutators and the commutators' Gram matrix.  An iteration with any
-    # restart in DIIS writes slot ``iteration % slots`` of every history.  A
-    # restart holds the entries of its last ``stored`` iterations: the slots
-    # written fewer than ``stored`` iterations ago.
+    # commutators and the commutators' Gram matrix.  An iteration in which
+    # any restart stores writes slot ``iteration % slots`` of every history.
+    # A restart holds the entries of its last ``stored`` iterations: the
+    # slots written fewer than ``stored`` iterations ago.
     focks = np.zeros((restarts, slots, m, m), dtype=complex)
     errors = np.zeros((restarts, slots, m * m), dtype=complex)
     gram = np.zeros((restarts, slots, slots))
     stored = np.zeros(restarts, dtype=np.intp)
+    # Each live restart's density, orbitals and zero-commutator flag one
+    # iteration back (placeholders before the first iteration).
+    earlier, previous, stationary = density, orbitals, np.zeros(restarts, dtype=bool)
     for iteration in range(max_iterations):
         f = fock(density)
         fd = f @ density
@@ -399,40 +397,57 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
         error = (fd - fd.conj().swapaxes(-2, -1)).reshape(live.size, -1)
         norms = np.sqrt(np.vecdot(error, error).real)
         diis = norms <= SCF_DIIS_START
-        stored = np.where(diis, stored + 1, 0)
-        if diis.any():
+        # A zero commutator gives nothing to extrapolate along: the restart
+        # takes its fresh density whole and stores nothing.
+        store = diis & (norms > 0)
+        stored = np.where(store, stored + 1, 0)
+        if store.any():
             slot = iteration % slots
             focks[:, slot] = f
             errors[:, slot] = error
             gram[:, slot] = gram[:, :, slot] = np.vecdot(errors, error[:, None]).real
-            # A zero newest error is already the least: nothing to solve.
-            solve = (stored > 1) & (norms > 0)
+            solve = stored > 1
             if solve.any():
                 age = (slot - np.arange(slots)) % slots
-                weights = _pulay_weights(gram, age < stored[:, None], solve, slot)
-                f = (weights[:, None, :] @ focks.reshape(live.size, slots, -1)).reshape(f.shape)
+                weights = _pulay_weights(gram[solve], age < stored[solve, None], slot)
+                mixed = weights[:, None, :] @ focks[solve].reshape(-1, slots, m * m)
+                mixed = mixed.reshape(-1, m, m)
                 # Coefficients can sum to 1e5 in magnitude and amplify each
                 # F's rounding-level asymmetry toward the eigensolver's
                 # Hermiticity tolerance, so an extrapolation is symmetrized.
-                f = 0.5 * (f + f.conj().swapaxes(-2, -1))
+                f[solve] = 0.5 * (mixed + mixed.conj().swapaxes(-2, -1))
         u = eig_hermitian(f).vectors[..., :num_particles]
         fresh = u @ u.conj().swapaxes(-2, -1)
         update = fresh - density
         flat = update.reshape(live.size, -1)
         steps = np.sqrt(np.vecdot(flat, flat).real)   # Frobenius norms
+        current = density
         density = np.where(diis[:, None, None], fresh, density + SCF_DAMPING * update)
         residuals[iteration, live] = steps
         done = steps <= SCF_TOLERANCE
-        if done.any():
+        # After two zero commutators in a row each next density is a
+        # function of the current one alone, so a density back where it was
+        # two iterations ago starts a 2-cycle that lasts to the end.
+        zero = norms == 0
+        cycling = zero & stationary & ~done
+        if cycling.any():
+            cycling &= (density == earlier).all(axis=(-2, -1))
+        if done.any() or cycling.any():
             leaving = live[done]
             orbitals[leaving] = u[done]
             iterations[leaving] = iteration + 1
             converged[leaving] = True
-            keep = ~done
-            live, u, density = live[keep], u[keep], density[keep]
-            focks, errors, gram, stored = focks[keep], errors[keep], gram[keep], stored[keep]
+            repeating = live[cycling]
+            last = u if (max_iterations - iteration) % 2 else previous
+            orbitals[repeating] = last[cycling]
+            residuals[iteration + 1:, repeating] = steps[cycling]
+            keep = ~(done | cycling)
+            live, u, density, current, zero, focks, errors, gram, stored = (
+                a[keep]
+                for a in (live, u, density, current, zero, focks, errors, gram, stored))
             if not live.size:
                 break
+        earlier, previous, stationary = current, u, zero
     orbitals[live] = u
     states = [SlaterState(u) for u in orbitals]
     energies = np.array([hartree_fock_energy(ham, state, xc) for state in states])

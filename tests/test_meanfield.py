@@ -113,12 +113,11 @@ def fock_space_energy(ham, state):
 def _reference_pulay(focks, errors):
     """Pulay's extrapolation over one restart's history, from scratch.
 
-    The newest Fock matrix, unchanged, when the history holds one entry,
-    the newest error is zero, or the bordered system is singular or gives
-    non-finite coefficients.
+    The newest Fock matrix, unchanged, when the history holds one entry or
+    the bordered system is singular or gives non-finite coefficients.
     """
     k = len(focks)
-    if k == 1 or not np.linalg.norm(errors[-1]) > 0:
+    if k == 1:
         return focks[-1]
     gram = np.array([[np.vdot(a, b).real for b in errors] for a in errors])
     scale = gram.diagonal().max()
@@ -143,8 +142,9 @@ def _reference_scf(ham, num_particles, *, restarts, seed=0, max_iterations=500,
     While ||FD - DF||_F exceeds ``diis_start`` the restart mixes ``damping``
     of the fresh density and empties its history; at or below it, it
     appends (F, FD - DF), diagonalizes the extrapolation over its last
-    ``diis_history`` entries and takes the fresh density whole.  Returns the
-    result and every restart's (iterations, converged) pair.
+    ``diis_history`` entries and takes the fresh density whole.  A zero
+    commutator empties the history and takes the fresh density whole.
+    Returns the result and every restart's (iterations, converged) pair.
     """
     m = ham.num_modes
     rng = np.random.default_rng(seed)
@@ -166,8 +166,9 @@ def _reference_scf(ham, num_particles, *, restarts, seed=0, max_iterations=500,
             f = ham.one_body + (kernel @ density.reshape(-1)).reshape(m, m)
             f = 0.5 * (f + f.conj().T)
             error = f @ density - density @ f
-            diis = np.linalg.norm(error) <= diis_start
-            if diis:
+            norm = np.linalg.norm(error)
+            diis = norm <= diis_start
+            if diis and norm > 0:
                 focks = (focks + [f])[-diis_history:]
                 errors = (errors + [error.reshape(-1)])[-diis_history:]
                 f = _reference_pulay(focks, errors)
@@ -368,6 +369,23 @@ class TestFockMatrix:
         ham = random_hamiltonian(rng, 4)
         fock = fock_matrix(ham, random_state(rng, 4, 2).density())
         assert np.abs(fock - fock.conj().T).max() < 1e-12
+
+    def test_mirror_pairs_within_tolerance_give_a_hermitian_fock(self):
+        # Every mirror pair differs by eps, inside the validation tolerance.
+        # On the first mode's density the two-body part of F_12 cancels to 0
+        # while F_21 reads 2 eps unless w is symmetrized, and |F|max is 1.
+        eps = 0.99e-10
+        w = np.zeros((3, 3, 3, 3))
+        for index, value in (((1, 0, 0, 2), 1.0), ((2, 0, 0, 1), 1.0 + eps),
+                             ((0, 1, 2, 0), -1.0), ((0, 2, 1, 0), -1.0 + eps),
+                             ((1, 0, 2, 0), 1.0), ((0, 2, 0, 1), 1.0 - eps),
+                             ((0, 1, 0, 2), -1.0), ((2, 0, 1, 0), -1.0 - eps)):
+            w[index] = value
+        ham = SecondQuantizedHamiltonian(np.diag([0.0, 1.0, 1.0]), w)
+        fock = fock_matrix(ham, np.diag([1.0, 0.0, 0.0]))
+        assert np.abs(fock - fock.conj().T).max() <= 1e-15
+        result = scf_solve(ham, 1, restarts=3)
+        assert result.converged and result.restart == 0
 
     def test_free_case_returns_one_body(self):
         h = np.diag([1.0, 2.0, 3.0])
@@ -580,15 +598,13 @@ class TestDIIS:
         bordered = np.block([[g, -np.ones((3, 1))], [-np.ones((1, 3)), np.zeros((1, 1))]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(bordered, np.eye(4)[3])
-        weights = _pulay_weights(gram, used, np.array([True, True, False]), 2)
+        weights = _pulay_weights(gram, used, 2)
         assert np.isfinite(weights).all()
-        newest = np.eye(4)[2]
-        np.testing.assert_array_equal(weights[1], newest)
-        # A history left out of the solve keeps its newest entry too.
-        np.testing.assert_array_equal(weights[2], newest)
-        # The regular history keeps its own solve: coefficients summing to
-        # one, none on the unused slot, whose error is the least.
-        alone = _pulay_weights(gram[:1], used[:1], np.array([True]), 2)
+        np.testing.assert_array_equal(weights[1], np.eye(4)[2])
+        # The regular histories keep their own solves: coefficients summing
+        # to one, none on the unused slot, whose error is the least.
+        np.testing.assert_array_equal(weights[0], weights[2])
+        alone = _pulay_weights(gram[:1], used[:1], 2)
         np.testing.assert_array_equal(weights[0], alone[0])
         assert weights[0].sum() == pytest.approx(1.0, abs=1e-12)
         assert weights[0, 3] == 0.0
@@ -597,7 +613,7 @@ class TestDIIS:
 
     def test_zero_commutator_restart_neither_raises_nor_returns_nan(self):
         # h = 0: restart 0 starts from a diagonal density whose Fock matrix
-        # is diagonal too, so every stored error vector is exactly zero.
+        # is diagonal too, so its commutator is exactly zero throughout.
         inst = random_instance(2, 0)
         ham = embed_ising(inst)
         u = eig_hermitian(ham.one_body).vectors[:, :inst.num_sites]
@@ -606,6 +622,35 @@ class TestDIIS:
         result = scf_solve(ham, inst.num_sites, restarts=1)
         assert np.isfinite(result.energy)
         assert np.isfinite(result.history).all()
+
+    @pytest.mark.parametrize("max_iterations", [40, 41])
+    def test_two_cycle_leaves_the_stack_with_the_full_run_result(
+            self, monkeypatch, max_iterations):
+        # Restart 0 of an h = 0 embedding flips between two doubly occupied
+        # configurations with a zero commutator: it leaves after its third
+        # iteration, and reports the orbitals and residuals of the full run,
+        # whichever configuration the last iteration lands on.
+        inst = random_instance(2, 0)
+        ham = embed_ising(inst)
+        stacks = []
+
+        def counted(matrix):
+            stacks.append(matrix.shape[0])
+            return eig_hermitian(matrix)
+
+        monkeypatch.setattr(meanfield, "eig_hermitian", counted)
+        scf_solve(ham, inst.num_sites, restarts=2, max_iterations=max_iterations)
+        assert stacks[1:5] == [2, 2, 1, 1]
+        alone = scf_solve(ham, inst.num_sites, restarts=1,
+                          max_iterations=max_iterations)
+        reference, runs = _reference_scf(ham, inst.num_sites, restarts=1,
+                                         max_iterations=max_iterations)
+        assert runs == [(max_iterations, False)]
+        assert not alone.converged and alone.restarts_converged == 0
+        assert alone.iterations == len(alone.history) == max_iterations
+        np.testing.assert_array_equal(alone.state.orbitals, reference.state.orbitals)
+        assert alone.history == reference.history
+        assert alone.energy == reference.energy
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("modes,particles", [(6, 3), (7, 3)])
