@@ -12,8 +12,9 @@ to ``SCF_DIIS_START``.  It reports the best determinant found; the result is
 variational, never below the exact ground energy.
 
 Density conventions: ``D = u @ u.conj().T`` so ``D[q, p] = <a+_p a_q>``.
-The Wick energy and the Fock matrix (the energy gradient) follow from that
-index order.
+The Fock matrix ``F[D]`` (the energy gradient) follows from that index
+order, and one kernel serves both the solver and the Wick energy
+``1/2 tr((h + F[D]) D)``.
 
 The Ising section builds L x L x 2 nearest-neighbor spin glasses with
 couplings in {-1, 0, +1}, a brute-force oracle over all configurations, and
@@ -188,33 +189,6 @@ class SlaterState:
         return self.orbitals @ self.orbitals.conj().T
 
 
-def _one_body_total(ham, xc):
-    h = ham.one_body
-    if xc is None:
-        return h
-    xc = np.asarray(xc, dtype=complex)
-    if xc.shape != h.shape:
-        raise ValidationError(f"xc matrix must have shape {h.shape}")
-    scale = max(1.0, float(np.abs(xc).max()))
-    if not np.abs(xc - xc.conj().T).max() <= HERMITICITY_ATOL * scale:
-        raise ValidationError("xc matrix is not Hermitian")
-    return h + xc
-
-
-def hartree_fock_energy(ham: SecondQuantizedHamiltonian, state, xc=None) -> float:
-    """Wick expectation of the Hamiltonian in one determinant."""
-    density = state.density() if isinstance(state, SlaterState) else np.asarray(state)
-    h = _one_body_total(ham, xc)
-    w = ham.two_body
-    e_one = np.einsum("ij,ji->", h, density)
-    direct = np.einsum("ijkl,li,kj->", w, density, density)
-    exchange = np.einsum("ijkl,ki,lj->", w, density, density)
-    total = e_one + 0.5 * (direct - exchange)
-    if abs(total.imag) > 1e-8 * max(1.0, abs(total)):
-        raise ValidationError("energy came out complex; check tensor symmetry")
-    return float(total.real)
-
-
 def _fock_builder(h, w):
     """``density -> Fock matrix`` for one-body part ``h`` and interaction ``w``.
 
@@ -262,9 +236,24 @@ def _fock_builder(h, w):
     return fock
 
 
-def fock_matrix(ham: SecondQuantizedHamiltonian, density, xc=None) -> np.ndarray:
-    """Gradient of the energy functional with respect to the density."""
-    return _fock_builder(_one_body_total(ham, xc), ham.two_body)(np.asarray(density))
+def _energies(h, fock, density):
+    """Wick energies ``1/2 tr((h + F[D]) D)`` of a density or a stack of them.
+
+    The two-body energy is quadratic in ``D`` and ``F[D] - h`` is its
+    gradient, so half that gradient's trace against ``D`` is the two-body
+    energy: one Fock build gives the whole energy.
+    """
+    total = 0.5 * np.einsum("...ij,...ji->...", h + fock(density), density)
+    if (np.abs(total.imag) > 1e-8 * np.maximum(1.0, np.abs(total))).any():
+        raise ValidationError("energy came out complex; check tensor symmetry")
+    return total.real
+
+
+def hartree_fock_energy(ham: SecondQuantizedHamiltonian, state) -> float:
+    """Wick expectation of the Hamiltonian in one determinant."""
+    density = state.density() if isinstance(state, SlaterState) else np.asarray(state)
+    h = ham.one_body
+    return float(_energies(h, _fock_builder(h, ham.two_body), density))
 
 
 @dataclass
@@ -274,7 +263,8 @@ class SCFResult:
     ``history`` holds the best restart's density residuals, one per
     iteration: the Frobenius norm of the fresh density minus the current
     one, the quantity the convergence test compares with ``SCF_TOLERANCE``.
-    ``energy`` is the Wick energy of the final determinant.
+    ``energy`` is the Wick energy of the final determinant, evaluated as
+    ``1/2 tr((h + F[D]) D)`` on the solver's own Fock kernel.
     """
 
     state: SlaterState
@@ -331,8 +321,8 @@ def _pulay_weights(gram, used, newest):
 
 
 def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
-              restarts: int = 16, seed: int = 0, max_iterations: int = 500,
-              xc=None) -> SCFResult:
+              restarts: int = 16, seed: int = 0,
+              max_iterations: int = 500) -> SCFResult:
     """Roothaan iteration, a damped start and then Pulay DIIS, from several
     deterministic starting points.
 
@@ -354,9 +344,10 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
     bit for bit to where it was two iterations earlier: it would repeat
     those two iterations to the end, so it takes the orbitals and residuals
     of the full run at once (restart 0 of an Ising embedding does this from
-    its third iteration on).  The reported restart is the lowest index
-    whose energy lies within ``SCF_ENERGY_TIE`` (relative) of the lowest
-    energy; non-convergence is reported, never raised.
+    its third iteration on).  Every restart's final energy comes from one
+    stacked build on the same kernel.  The reported restart is the lowest
+    index whose energy lies within ``SCF_ENERGY_TIE`` (relative) of the
+    lowest energy; non-convergence is reported, never raised.
     """
     m = ham.num_modes
     if not 1 <= num_particles <= m:
@@ -367,9 +358,9 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
     if max_iterations < 1:
         raise ValidationError("need at least one iteration")
     rng = np.random.default_rng(seed)
-    h_tot = _one_body_total(ham, xc)
-    fock = _fock_builder(h_tot, ham.two_body)
-    frames = [eig_hermitian(h_tot).vectors[:, :num_particles]]
+    h = ham.one_body
+    fock = _fock_builder(h, ham.two_body)
+    frames = [eig_hermitian(h).vectors[:, :num_particles]]
     frames += [_haar_orbitals(rng, m, num_particles) for _ in range(1, restarts)]
     orbitals = np.stack(frames)                 # each restart's final frame
     density = orbitals @ orbitals.conj().swapaxes(-2, -1)
@@ -449,15 +440,14 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
                 break
         earlier, previous, stationary = current, u, zero
     orbitals[live] = u
-    states = [SlaterState(u) for u in orbitals]
-    energies = np.array([hartree_fock_energy(ham, state, xc) for state in states])
+    energies = _energies(h, fock, orbitals @ orbitals.conj().swapaxes(-2, -1))
     lowest = energies.min()
     tied = energies <= lowest + SCF_ENERGY_TIE * max(1.0, abs(lowest))
     best = int(np.flatnonzero(tied)[0])
     history = tuple(float(r) for r in residuals[:iterations[best], best])
-    return SCFResult(states[best], float(energies[best]), bool(converged[best]),
-                     int(iterations[best]), best, restarts, int(converged.sum()),
-                     history)
+    return SCFResult(SlaterState(orbitals[best]), float(energies[best]),
+                     bool(converged[best]), int(iterations[best]), best, restarts,
+                     int(converged.sum()), history)
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +464,12 @@ def second_quantized_to_text(ham: SecondQuantizedHamiltonian) -> str:
             or np.abs(ham.two_body.imag).max() > NEGLIGIBLE):
         raise ValidationError(
             "the interchange format only accepts real coefficients")
-    m = ham.num_modes
-    lines = [f"modes {m}"]
-    for i in range(m):
-        for j in range(m):
-            value = float(ham.one_body[i, j].real)
-            if value != 0.0:
-                lines.append(f"1 {i} {j} {value!r}")
-    for index in np.ndindex(m, m, m, m):
-        value = float(ham.two_body[index].real)
-        if value != 0.0:
-            i, j, k, l = index
-            lines.append(f"2 {i} {j} {k} {l} {value!r}")
+    lines = [f"modes {ham.num_modes}"]
+    for kind, tensor in (("1", ham.one_body.real), ("2", ham.two_body.real)):
+        # Nonzero entries only, listed in row-major order.
+        for index in zip(*np.nonzero(tensor)):
+            modes = " ".join(str(i) for i in index)
+            lines.append(f"{kind} {modes} {float(tensor[index])!r}")
     return "\n".join(lines) + "\n"
 
 

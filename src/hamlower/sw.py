@@ -11,13 +11,15 @@ exactly degenerate the centering on ``Ebar`` is an approximation; the spread
 of the low block is reported and a warning fires once it exceeds a tenth of
 the gap.  All formulas are invariant under a constant shift of ``H0``.
 
+The low block is picked one of two ways: every eigenvector of ``H0`` below
+an energy ``threshold``, or caller-supplied orthonormal ``low_columns``.
 Every block is taken in the split's own coordinates.  When the low columns
 are unit coordinate vectors the blocks are index slices; any other basis
 costs one rotation product.  Real inputs stay real throughout.
 
 Values that only set a scale or guard the regime are solved one connected
 component of the nonzero pattern at a time (``component_eig_values``): the
-high block on a caller-supplied split (its minimum is the gap, its largest
+high block of a ``low_columns`` split (its minimum is the gap, its largest
 |value| the invariance scale) and ``v`` (its norm).  The low block, whose
 mean is ``Ebar``, is solved whole.
 """
@@ -216,64 +218,31 @@ def _checked_pair(h, v):
     return h, v
 
 
-def _check_block_diagonal(h, cross):
-    """Refuse an ``h`` whose low-high block ``cross`` is not negligible."""
-    hscale = max(1.0, float(np.abs(h).max()))
-    if not np.abs(cross).max() <= BLOCK_RTOL * hscale:
-        raise ValidationError("h is not block diagonal in the split basis")
-
-
-def _split_ingredients(h, split):
-    """Blocks of ``h`` on a caller-supplied split, with their stats.
-
-    Checks that ``h`` is block diagonal in the split basis; returns
-    ``(h_low, h_high, gap, e_bar, spread)``.
-    """
-    h_low, cross, h_high = split.blocks(h)
-    _check_block_diagonal(h, cross)
-    gap, e_bar, spread = _block_stats(eig_values(h_low),
-                                      component_eig_values(h_high))
-    return h_low, h_high, gap, e_bar, spread
-
-
 def _right_inverse(m, hc):
     """``m @ inv(hc)`` for Hermitian ``hc``, by a linear solve."""
     return np.linalg.solve(hc, m.conj().T).conj().T
 
 
-def _centered(h_high, e_bar):
+def _centered(split):
     """``H_high - Ebar``: the high block centered on the low block's mean."""
-    return h_high - e_bar * np.eye(h_high.shape[0])
+    return split.h0_high - split.e_bar * np.eye(split.h0_high.shape[0])
 
 
-def _x_blocks(split, h_low, h_high, e_bar, v, order, z=None):
+def _x_blocks(split, v, order, z=None):
     """X1 = -V01 A and, at order 2, X2 = (V01 A V11 - (H0 + V00) V01 A) A.
 
-    ``A`` inverts the centered high block and ``H0`` is the centered low
-    block; X2 is zero at order 1.  X1 is ``-z^H`` for the order-2 solve
+    ``A`` inverts the split's centered high block and ``H0`` is its
+    centered low block; X2 is zero at order 1.  X1 is ``-z^H`` for the order-2 solve
     ``z = A V10`` that ``effective_hamiltonian`` makes for ``h_eff``; it is
     solved here only when no ``z`` is given.
     """
     v00, v01, v11 = split.blocks(v)
-    hc = _centered(h_high, e_bar)
+    hc = _centered(split)
     y = _right_inverse(v01, hc) if z is None else z.conj().T
     if order == 1:
         return -y, np.zeros_like(y)
-    h0c = h_low - e_bar * np.eye(h_low.shape[0])
+    h0c = split.h0_low - split.e_bar * np.eye(split.low_dim)
     return -y, _right_inverse(y @ v11 - (h0c + v00) @ y, hc)
-
-
-def generator_blocks(h, v, split: BlockSplit):
-    """Second-order generator blocks (X1, X2) for the decoupling rotation.
-
-    X1 = -V01 H1inv and X2 = -H0 V01 H1inv**2 + V01 H1inv V1 H1inv
-    - V0 V01 H1inv**2, where H1inv inverts the centered high block and H0
-    is the centered low block.  The full generator for a given eps is
-    assembled by ``assemble_generator``.
-    """
-    h, v = _checked_pair(h, v)
-    h_low, h_high, _, e_bar, _ = _split_ingredients(h, split)
-    return _x_blocks(split, h_low, h_high, e_bar, v, 2)
 
 
 def assemble_generator(split: BlockSplit, x1, x2, epsilon) -> np.ndarray:
@@ -289,20 +258,19 @@ def assemble_generator(split: BlockSplit, x1, x2, epsilon) -> np.ndarray:
     return basis @ s_block @ basis.conj().T
 
 
-def _lazy_generator(split, h_low, h_high, e_bar, v, epsilon, order, z):
-    x1, x2 = _x_blocks(split, h_low, h_high, e_bar, v, order, z)
+def _lazy_generator(split, v, epsilon, order, z):
+    x1, x2 = _x_blocks(split, v, order, z)
     return assemble_generator(split, x1, x2, epsilon)
 
 
-def effective_hamiltonian(h, v, epsilon, *, order=2, split=None,
-                          threshold=None, low_columns=None) -> SWResult:
+def effective_hamiltonian(h, v, epsilon, *, order=2, threshold=None,
+                          low_columns=None) -> SWResult:
     """Effective low-block Hamiltonian of ``h + epsilon * v``.
 
-    The low block comes from ``split`` if given, otherwise from
-    ``split_blocks`` with the remaining selector, whose blocks and stats are
-    then reused.  Order 1 keeps ``H0 + eps V00``; order 2 adds the
-    virtual-excitation term.  Raises ``RegimeError`` unless
-    ``epsilon * |v| < gap / 2``.
+    The low block comes from ``split_blocks`` with the one selector given,
+    ``threshold`` or ``low_columns``, and its blocks and stats are reused.
+    Order 1 keeps ``H0 + eps V00``; order 2 adds the virtual-excitation
+    term.  Raises ``RegimeError`` unless ``epsilon * |v| < gap / 2``.
     """
     h, v = _checked_pair(h, v)
     epsilon = float(epsilon)
@@ -310,15 +278,11 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, split=None,
         raise ValidationError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order!r}")
-    if split is None:
-        split, cross = _split(h, threshold, low_columns)
-        _check_block_diagonal(h, cross)
-        h_low, h_high = split.h0_low, split.h0_high
-        gap, e_bar, spread = split.gap, split.e_bar, split.spread
-    elif threshold is not None or low_columns is not None:
-        raise ValidationError("pass either split or a block selector, not both")
-    else:
-        h_low, h_high, gap, e_bar, spread = _split_ingredients(h, split)
+    split, cross = _split(h, threshold, low_columns)
+    # Negated so that a NaN entry fails the test as well.
+    if not np.abs(cross).max() <= BLOCK_RTOL * max(1.0, float(np.abs(h).max())):
+        raise ValidationError("h is not block diagonal in the split basis")
+    gap, spread = split.gap, split.spread
     # v is Hermitian, so its spectral norm is its largest |eigenvalue|
     v_norm = float(np.abs(component_eig_values(v)).max())
     if epsilon * v_norm >= gap / 2:
@@ -331,10 +295,10 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, split=None,
             "second-order accuracy degrades",
             stacklevel=2)
     v00, v01, _ = split.blocks(v)
-    h_eff = h_low + epsilon * v00
+    h_eff = split.h0_low + epsilon * v00
     z = None
     if order == 2:
-        z = np.linalg.solve(_centered(h_high, e_bar), v01.conj().T)
+        z = np.linalg.solve(_centered(split), v01.conj().T)
         h_eff = h_eff - epsilon ** 2 * (v01 @ z)
         error_budget = epsilon ** 3 * v_norm ** 3 / gap ** 2
     else:
@@ -342,6 +306,5 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, split=None,
     h_eff = (h_eff + h_eff.conj().T) / 2
     # The generator keeps z, not the centered block: an order-2 result
     # holds no second high-block-sized array.
-    build = partial(_lazy_generator, split, h_low, h_high, e_bar, v, epsilon,
-                    order, z)
+    build = partial(_lazy_generator, split, v, epsilon, order, z)
     return SWResult(split, epsilon, order, h_eff, v_norm, error_budget, build)

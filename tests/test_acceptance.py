@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from hamlower.gadgets import (
-    HistorySpec,
-    build_history_hamiltonian,
     compile,
     entangler_realization,
     frozen_cross_residuals,
     verify_plan,
 )
+from hamlower.history import HistorySpec, build_history_hamiltonian
 from hamlower.hubbard import (
     HubbardModel,
     heisenberg_from_hubbard,

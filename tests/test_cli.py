@@ -456,10 +456,11 @@ class TestStartup:
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, hamlower.cli; "
                 "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
+                "if m.split('.')[0] == 'scipy')); "
+                "print('hamlower.history' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.split() == ["[]", "False"]
 
     def test_workflows_run_without_scipy(self, tmp_path):
         # A None entry in sys.modules makes every scipy import fail.

@@ -25,18 +25,14 @@ from hamlower.errors import (
 from hamlower import gadgets
 from hamlower.gadgets import (
     FROZEN_ANGLES,
-    HistorySpec,
     MediatorGadget,
-    build_history_hamiltonian,
     cross_element,
     dressed_element,
     dressed_states,
-    embed_gate,
     entangler_realization,
     frozen_cross_residuals,
     gadget_hamiltonian,
     gadget_model,
-    history_state,
     mediator_coefficients,
     mediator_effective,
     mediator_matrix,
@@ -45,6 +41,12 @@ from hamlower.gadgets import (
     schedule_scales,
     third_axis,
     verify_plan,
+)
+from hamlower.history import (
+    HistorySpec,
+    build_history_hamiltonian,
+    embed_gate,
+    history_state,
 )
 from hamlower.operators import (
     AXES,

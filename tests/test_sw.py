@@ -10,7 +10,6 @@ from hamlower.hubbard import HubbardModel, verify_exchange
 from hamlower.sw import (
     assemble_generator,
     effective_hamiltonian,
-    generator_blocks,
     split_blocks,
 )
 
@@ -32,6 +31,11 @@ def gapped_instance(rng, dim=8, low_dim=3, gap=1.0):
     v = (z + z.conj().T) / 2
     v /= np.linalg.norm(v, 2)
     return h0, v
+
+
+def x_blocks(split, v):
+    """Second-order generator blocks (X1, X2) on the split's own blocks."""
+    return sw._x_blocks(split, v, 2)
 
 
 def low_error(h0, v, eps, low_dim, threshold):
@@ -58,7 +62,7 @@ class TestClosedForm:
         h0 = np.diag([0.0, delta])
         v = np.array([[0.0, 1.0], [1.0, 0.0]])
         split = split_blocks(h0, threshold=1.0)
-        x1, x2 = generator_blocks(h0, v, split)
+        x1, x2 = x_blocks(split, v)
         assert x1.shape == (1, 1)
         assert abs(x1[0, 0] + 1.0 / delta) < 1e-14
 
@@ -68,7 +72,7 @@ class TestClosedForm:
         result = effective_hamiltonian(h0, v, 0.1, threshold=1.0)
         assert np.allclose(result.h_eff, np.zeros((2, 2)))
         assert result.error_budget == 0.0
-        x1, x2 = generator_blocks(h0, v, result.split)
+        x1, x2 = x_blocks(result.split, v)
         assert np.allclose(x1, 0.0) and np.allclose(x2, 0.0)
 
     def test_block_diagonal_v_is_exact_at_second_order(self):
@@ -84,7 +88,7 @@ class TestClosedForm:
         z = rng.standard_normal((4, 4))
         v = (z + z.T) / 2
         split = split_blocks(h0, threshold=1.0)
-        _, x2 = generator_blocks(h0, v, split)
+        _, x2 = x_blocks(split, v)
         a = np.diag([1.0 / 3.0, 1.0 / 4.0])
         v01 = split.low_projector.conj().T @ v @ split.high_projector
         v00 = split.low_projector.conj().T @ v @ split.low_projector
@@ -154,7 +158,7 @@ class TestScaling:
         result = effective_hamiltonian(h0, v, 0.05, threshold=0.5)
         s = result.generator
         assert np.abs(s + s.conj().T).max() < 1e-12
-        x1, x2 = generator_blocks(h0, v, result.split)
+        x1, x2 = x_blocks(result.split, v)
         rebuilt = assemble_generator(result.split, x1, x2, 0.05)
         assert np.allclose(rebuilt, s, atol=1e-12)
 
@@ -165,7 +169,7 @@ class TestLazyGenerator:
         rng = np.random.default_rng(23)
         h0, v = gapped_instance(rng)
         result = effective_hamiltonian(h0, v, 0.05, order=order, threshold=0.5)
-        x1, x2 = generator_blocks(h0, v, result.split)
+        x1, x2 = x_blocks(result.split, v)
         if order == 1:
             x2 = np.zeros_like(x2)
         want = assemble_generator(result.split, x1, x2, 0.05)
@@ -189,7 +193,7 @@ class TestLazyGenerator:
         result.generator
         assert len(calls) == solves
         calls.clear()
-        generator_blocks(h0, v, result.split)
+        x_blocks(result.split, v)
         assert len(calls) == 2
 
     def test_exchange_check_never_builds_it(self, monkeypatch):
@@ -296,6 +300,16 @@ class TestBlockSelection:
         h0[0, 2] = h0[2, 0] = 0.5
         with pytest.raises(ValidationError, match="invariant"):
             split_blocks(h0, low_columns=np.eye(4)[:, :2])
+        # A cross block below the spectral scale (805) times BLOCK_RTOL but
+        # above the largest entry (105) times it: the split accepts it,
+        # effective_hamiltonian refuses it.
+        h0 = np.zeros((10, 10))
+        h0[2:, 2:] = 100.0 + 5.0 * np.eye(8)
+        h0[0, 2] = h0[2, 0] = 3e-8
+        cols = np.eye(10)[:, :2]
+        split_blocks(h0, low_columns=cols)
+        with pytest.raises(ValidationError, match="block diagonal"):
+            effective_hamiltonian(h0, np.zeros((10, 10)), 0.1, low_columns=cols)
 
     def test_explicit_columns_must_be_orthonormal(self):
         h0 = np.diag([0.0, 0.0, 5.0, 7.0])
@@ -308,27 +322,6 @@ class TestBlockSelection:
         cols = np.eye(4)[:, 1:3]
         with pytest.raises(ValidationError, match="below"):
             split_blocks(h0, low_columns=cols)
-
-    def test_precomputed_split_reused(self):
-        h0 = np.diag([0.0, 0.0, 5.0, 7.0])
-        rng = np.random.default_rng(9)
-        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        v = (z + z.conj().T) / 2
-        split = split_blocks(h0, low_columns=np.eye(4)[:, :2])
-        direct = effective_hamiltonian(h0, v, 0.1, low_columns=np.eye(4)[:, :2])
-        reused = effective_hamiltonian(h0, v, 0.1, split=split)
-        assert np.allclose(direct.h_eff, reused.h_eff)
-        with pytest.raises(ValidationError):
-            effective_hamiltonian(h0, v, 0.1, split=split, threshold=1.0)
-
-    def test_split_reuse_checks_block_diagonality(self):
-        h0 = np.diag([0.0, 0.0, 5.0, 7.0])
-        split = split_blocks(h0, low_columns=np.eye(4)[:, :2])
-        other = np.diag([0.0, 0.0, 5.0, 7.0]).astype(complex)
-        other[0, 2] = other[2, 0] = 0.3
-        v = np.zeros((4, 4))
-        with pytest.raises(ValidationError, match="block diagonal"):
-            effective_hamiltonian(other, v, 0.1, split=split)
 
 
 def coordinate_instance(rng, dim=10, low_rows=(7, 2, 5, 0)):
@@ -410,10 +403,6 @@ class TestCoordinateSplit:
             effective_hamiltonian(h0, v, 0.1, low_columns=cols)
         split = split_blocks(np.diag([0.0, 0.0, 5.0, 7.0]), low_columns=cols)
         assert (split.rows is None) == (phase != 1.0)
-        with pytest.raises(ValidationError):
-            effective_hamiltonian(h0, v, 0.1, split=split)
-        with pytest.raises(ValidationError):
-            generator_blocks(h0, v, split)
 
 
 class TestGuards:
