@@ -213,7 +213,7 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     v = _real_if_real(realize_fermion(hopping_operator(model), sector))
     columns = singly_occupied_projector(sector, model.sites)
     result = sw.effective_hamiltonian(h0, v, 1.0, low_columns=columns)
-    first_order = columns.T @ v @ columns
+    first_order = result.split.blocks(v)[0]
     closed = realize_spin(heisenberg_from_hubbard(model))
     measured = float(np.abs(result.h_eff - closed).max())
     if tolerance is None:

@@ -36,6 +36,7 @@ from .operators import (
     NEGLIGIBLE,
     FockSector,
     LineReader,
+    _checked_hermitian,
     eig_hermitian,
     eig_values,
     excitation_table,
@@ -66,14 +67,10 @@ class SecondQuantizedHamiltonian:
         one_body = np.asarray(one_body, dtype=complex)
         if one_body.ndim != 2 or one_body.shape[0] != one_body.shape[1]:
             raise ValidationError(f"one-body part must be square, got {one_body.shape}")
-        if not np.isfinite(one_body).all():
-            raise ValidationError("non-finite coefficient in the one-body part")
         m = one_body.shape[0]
         if m < 1:
             raise ValidationError("need at least one mode")
-        scale = max(1.0, float(np.abs(one_body).max()))
-        if np.abs(one_body - one_body.conj().T).max() > HERMITICITY_ATOL * scale:
-            raise ValidationError("one-body part is not Hermitian")
+        _checked_hermitian(one_body)
         if two_body is None:
             two_body = np.zeros((m, m, m, m), dtype=complex)
         two_body = np.asarray(two_body, dtype=complex)

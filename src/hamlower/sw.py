@@ -17,36 +17,37 @@ Every block is taken in the split's own coordinates.  When the low columns
 are unit coordinate vectors the blocks are index slices; any other basis
 costs one rotation product.  Real inputs stay real throughout.
 
+``split_blocks`` is the one split.  It runs one block-diagonality test on
+both paths: both off-diagonal blocks of ``h0`` must lie within
+``BLOCK_RTOL`` times the largest |entry| of ``h0`` (at least 1).  Each input
+is checked for Hermiticity once, by the solve that reads it: ``h0`` whole by
+the eigendecomposition on the threshold path, and through its two diagonal
+blocks plus the cross-block test on the column path; ``v`` by its norm
+solve, before it is sliced.
+
 Values that only set a scale or guard the regime are solved one connected
 component of the nonzero pattern at a time (``component_eig_values``): the
-high block of a ``low_columns`` split (its minimum is the gap, its largest
-|value| the invariance scale) and ``v`` (its norm).  The low block, whose
-mean is ``Ebar``, is solved whole.
+high block of a ``low_columns`` split (its minimum is the gap) and ``v``
+(its norm).  The low block, whose mean is ``Ebar``, is solved whole.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegeneracyError, RegimeError, ValidationError
-from .operators import (
-    _checked_hermitian,
-    component_eig_values,
-    eig_hermitian,
-    eig_values,
-)
+from .operators import component_eig_values, eig_hermitian, eig_values
 
 # An eigenvalue this close (relative to the spectral scale) to the threshold
 # means the split would cut through a near-degenerate multiplet.
 DEGENERACY_RTOL = 1e-8
-# The Hamiltonian must be block diagonal across the split to this relative
-# accuracy.
+# h0 must be block diagonal across the split to this accuracy, relative to
+# its largest |entry|.
 BLOCK_RTOL = 1e-10
 
 
@@ -77,23 +78,26 @@ class BlockSplit:
         return self.low_projector.shape[1]
 
     def blocks(self, m):
-        """``m``'s (low-low, low-high, high-high) blocks in this split's basis."""
+        """``m``'s (low-low, low-high, high-low, high-high) blocks in this
+        split's basis."""
         return _blocks(m, self.low_projector, self.high_projector, self.rows)
 
 
 def _blocks(m, low, high, rows):
-    """(low-low, low-high, high-high) blocks of ``m`` on the bases ``low``, ``high``.
+    """(low-low, low-high, high-low, high-high) blocks of ``m`` on the bases
+    ``low``, ``high``.
 
     Coordinate bases (``rows`` given) are index slices; any other basis
     takes one rotation product.
     """
     if rows is not None:
         lo, hi = rows
-        return m[np.ix_(lo, lo)], m[np.ix_(lo, hi)], m[np.ix_(hi, hi)]
+        return (m[np.ix_(lo, lo)], m[np.ix_(lo, hi)], m[np.ix_(hi, lo)],
+                m[np.ix_(hi, hi)])
     k = low.shape[1]
     basis = np.hstack([low, high])
     rotated = basis.conj().T @ m @ basis
-    return rotated[:k, :k], rotated[:k, k:], rotated[k:, k:]
+    return rotated[:k, :k], rotated[:k, k:], rotated[k:, :k], rotated[k:, k:]
 
 
 def _block_stats(low_vals, high_vals):
@@ -142,17 +146,15 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
     the spectral scale) of any eigenvalue.  The column path checks the given
     columns are orthonormal and span an invariant subspace lying strictly
     below its complement; it needs the eigenvalues of the two diagonal
-    blocks only, which also set the scale of the invariance check.  The low
-    block is solved whole; the high block, read only for its minimum and
-    its largest |value|, is solved per connected component.
+    blocks only.  The low block is solved whole; the high block, read only
+    for its minimum, is solved per connected component.  Both paths then
+    test that ``h0`` is block diagonal across the split.
     """
-    return _split(_checked_hermitian(h0), threshold, low_columns)[0]
-
-
-def _split(h0, threshold, low_columns):
-    """``split_blocks`` of a checked ``h0``, plus its low-high block."""
     if (threshold is None) == (low_columns is None):
         raise ValidationError("pass exactly one of threshold or low_columns")
+    h0 = np.asarray(h0)
+    if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
+        raise ValidationError(f"h0 must be one square matrix, got shape {h0.shape}")
     if threshold is not None:
         spec = eig_hermitian(h0)
         scale = max(1.0, float(np.abs(spec.values).max()))
@@ -168,20 +170,24 @@ def _split(h0, threshold, low_columns):
         if mask.all():
             raise DegeneracyError(f"no eigenvalue above threshold {t:g}")
         low, high, rows = spec.vectors[:, mask], spec.vectors[:, ~mask], None
-        h0_low, cross, h0_high = _blocks(h0, low, high, rows)
+        h0_low, cross, mirror, h0_high = _blocks(h0, low, high, rows)
         low_vals, high_vals = spec.values[mask], spec.values[~mask]
     else:
         low, high, rows = _column_bases(low_columns, h0.shape[0])
-        h0_low, cross, h0_high = _blocks(h0, low, high, rows)
+        h0_low, cross, mirror, h0_high = _blocks(h0, low, high, rows)
         low_vals, high_vals = eig_values(h0_low), component_eig_values(h0_high)
-        scale = max(1.0, float(np.abs(low_vals).max()),
-                    float(np.abs(high_vals).max()))
-        # Negated so that a NaN entry fails the test as well.
-        if not np.abs(cross).max() <= BLOCK_RTOL * scale:
-            raise ValidationError(
-                "low_columns do not span an invariant subspace of h0")
+    # The diagonal blocks passed their solves, so a non-finite entry of h0
+    # sits in a cross block.  An inf one would excuse itself through the
+    # scale, hence the finite scale; the test is negated so NaN fails too.
+    scale = max(1.0, float(np.abs(h0).max()))
+    limit = BLOCK_RTOL * scale
+    if not (math.isfinite(scale)
+            and all(np.abs(b).max() <= limit for b in (cross, mirror))):
+        raise ValidationError(
+            "h0 is not block diagonal across the split: the low columns do "
+            "not span an invariant subspace")
     gap, e_bar, spread = _block_stats(low_vals, high_vals)
-    return BlockSplit(low, high, h0_low, h0_high, gap, e_bar, spread, rows), cross
+    return BlockSplit(low, high, h0_low, h0_high, gap, e_bar, spread, rows)
 
 
 @dataclass(frozen=True)
@@ -191,7 +197,8 @@ class SWResult:
     ``h_eff`` lives on ``split.low_projector``; ``generator`` is the
     full-dimension anti-Hermitian matrix S such that
     exp(S) (H0 + eps V) exp(-S) has an off-diagonal block one order beyond
-    ``order``.  It is built on first access, since most callers read only
+    ``order``.  It is built on first access from ``v`` and, at order 2, the
+    solve ``z = (H_high - Ebar)^-1 V10``, since most callers read only
     ``h_eff``.  ``error_budget`` is an order-of-magnitude certificate for
     the eigenvalue error of ``h_eff``, not a rigorous bound.
     """
@@ -202,20 +209,13 @@ class SWResult:
     h_eff: np.ndarray
     v_norm: float
     error_budget: float
-    _build_generator: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    v: np.ndarray
+    z: np.ndarray | None
 
     @cached_property
     def generator(self) -> np.ndarray:
-        return self._build_generator()
-
-
-def _checked_pair(h, v):
-    """``h`` and ``v`` as Hermitian arrays of one shape, real ones kept real."""
-    h = _checked_hermitian(h)
-    v = _checked_hermitian(v)
-    if v.shape != h.shape:
-        raise ValidationError(f"v shape {v.shape} does not match h {h.shape}")
-    return h, v
+        x1, x2 = _x_blocks(self.split, self.v, self.order, self.z)
+        return assemble_generator(self.split, x1, x2, self.epsilon)
 
 
 def _right_inverse(m, hc):
@@ -236,7 +236,7 @@ def _x_blocks(split, v, order, z=None):
     ``z = A V10`` that ``effective_hamiltonian`` makes for ``h_eff``; it is
     solved here only when no ``z`` is given.
     """
-    v00, v01, v11 = split.blocks(v)
+    v00, v01, _, v11 = split.blocks(v)
     hc = _centered(split)
     y = _right_inverse(v01, hc) if z is None else z.conj().T
     if order == 1:
@@ -258,11 +258,6 @@ def assemble_generator(split: BlockSplit, x1, x2, epsilon) -> np.ndarray:
     return basis @ s_block @ basis.conj().T
 
 
-def _lazy_generator(split, v, epsilon, order, z):
-    x1, x2 = _x_blocks(split, v, order, z)
-    return assemble_generator(split, x1, x2, epsilon)
-
-
 def effective_hamiltonian(h, v, epsilon, *, order=2, threshold=None,
                           low_columns=None) -> SWResult:
     """Effective low-block Hamiltonian of ``h + epsilon * v``.
@@ -272,18 +267,19 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, threshold=None,
     Order 1 keeps ``H0 + eps V00``; order 2 adds the virtual-excitation
     term.  Raises ``RegimeError`` unless ``epsilon * |v| < gap / 2``.
     """
-    h, v = _checked_pair(h, v)
     epsilon = float(epsilon)
     if not math.isfinite(epsilon) or epsilon < 0:
         raise ValidationError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order!r}")
-    split, cross = _split(h, threshold, low_columns)
-    # Negated so that a NaN entry fails the test as well.
-    if not np.abs(cross).max() <= BLOCK_RTOL * max(1.0, float(np.abs(h).max())):
-        raise ValidationError("h is not block diagonal in the split basis")
+    split = split_blocks(h, threshold=threshold, low_columns=low_columns)
+    v = np.asarray(v)
+    dim = split.low_projector.shape[0]
+    if v.shape != (dim, dim):
+        raise ValidationError(f"v shape {v.shape} does not match h {(dim, dim)}")
     gap, spread = split.gap, split.spread
-    # v is Hermitian, so its spectral norm is its largest |eigenvalue|
+    # v is Hermitian, so its spectral norm is its largest |eigenvalue|; this
+    # solve is v's one Hermiticity check, made before v is sliced.
     v_norm = float(np.abs(component_eig_values(v)).max())
     if epsilon * v_norm >= gap / 2:
         raise RegimeError(
@@ -294,7 +290,7 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, threshold=None,
             f"low-block spread {spread:.3g} exceeds gap/10 = {gap / 10:.3g}; "
             "second-order accuracy degrades",
             stacklevel=2)
-    v00, v01, _ = split.blocks(v)
+    v00, v01, _, _ = split.blocks(v)
     h_eff = split.h0_low + epsilon * v00
     z = None
     if order == 2:
@@ -304,7 +300,6 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, threshold=None,
     else:
         error_budget = epsilon ** 2 * v_norm ** 2 / gap
     h_eff = (h_eff + h_eff.conj().T) / 2
-    # The generator keeps z, not the centered block: an order-2 result
-    # holds no second high-block-sized array.
-    build = partial(_lazy_generator, split, v, epsilon, order, z)
-    return SWResult(split, epsilon, order, h_eff, v_norm, error_budget, build)
+    # The result keeps z, not the centered block: an order-2 result holds
+    # no second high-block-sized array for its generator.
+    return SWResult(split, epsilon, order, h_eff, v_norm, error_budget, v, z)

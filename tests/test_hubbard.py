@@ -26,7 +26,7 @@ from hamlower.hubbard import (
     singlet_triplet_splitting,
     verify_exchange,
 )
-from hamlower import hubbard, sw
+from hamlower import hubbard, operators, sw
 from hamlower.operators import (
     AXES,
     FermionOperator,
@@ -286,6 +286,39 @@ class TestVerifyExchange:
                           ("component_eig_values", 54, 4),
                           ("component_eig_values", 70, 36),
                           ("eig_values", 70, 70)]
+
+    def test_each_input_is_checked_for_hermiticity_once(self, monkeypatch):
+        checked = []
+        original = operators._checked_hermitian
+
+        def recorded(matrix):
+            checked.append(np.array(matrix))
+            return original(matrix)
+
+        # Patched wherever the checker is bound, so a direct call counts too.
+        for module in (operators, sw, hubbard):
+            if hasattr(module, "_checked_hermitian"):
+                monkeypatch.setattr(module, "_checked_hermitian", recorded)
+        ring = BUILD_MODELS["ring"]
+        xyz = HubbardModel(ring.sites, ring.t, ring.u, ring.edges,
+                           ((0.01, 0.02, -0.03), (0.0, -0.01, 0.02),
+                            (0.03, 0.01, 0.0), (-0.02, 0.0, 0.01)))
+        assert verify_exchange(xyz).passed
+        sector = half_filling_sector(xyz)
+        h0 = realize_fermion(interaction_operator(xyz), sector)
+        v = realize_fermion(hopping_operator(xyz), sector).real
+        low = hubbard.singly_occupied_projector(sector, xyz.sites).any(axis=1)
+        # h0 is checked through its two diagonal blocks, which the split
+        # solves; the cross blocks are read by the block-diagonality test.
+        inputs = {"h0 low block": h0[np.ix_(low, low)],
+                  "h0 high block": h0[np.ix_(~low, ~low)],
+                  "v": v, "h0 + v": h0 + v, "h0": h0}
+        seen = {name: sum(m.shape == want.shape and np.array_equal(m, want)
+                          for m in checked)
+                for name, want in inputs.items()}
+        assert seen == {"h0 low block": 1, "h0 high block": 1,
+                        "v": 1, "h0 + v": 1, "h0": 0}
+        assert len(checked) == 4
 
     @pytest.mark.parametrize("name", sorted(BUILD_MODELS))
     def test_split_keeps_hopping_real(self, name, monkeypatch):

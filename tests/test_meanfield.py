@@ -213,7 +213,7 @@ def _reference_scf(ham, num_particles, *, restarts, seed=0, max_iterations=500,
 
 class TestHamiltonianValidation:
     def test_rejects_non_hermitian_one_body(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not Hermitian"):
             SecondQuantizedHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_bad_two_body_symmetry(self):

@@ -281,6 +281,15 @@ class TestBlockSelection:
         with pytest.raises(ValidationError):
             split_blocks(h0, threshold=0.5, low_columns=np.eye(2, 1))
 
+    @pytest.mark.parametrize("selector", ["columns", "threshold"])
+    def test_h0_must_be_one_square_matrix(self, selector):
+        chosen = {"columns": {"low_columns": np.eye(3)[:, :1]},
+                  "threshold": {"threshold": 0.5}}[selector]
+        h0 = np.diag([0.0, 1.0, 1.0])
+        for bad in (np.stack([h0, h0]), h0[:, :2], h0[0]):
+            with pytest.raises(ValidationError, match="shape"):
+                split_blocks(bad, **chosen)
+
     def test_explicit_columns_keep_basis(self):
         h0 = np.diag([0.0, 0.0, 5.0, 7.0])
         rng = np.random.default_rng(5)
@@ -301,13 +310,14 @@ class TestBlockSelection:
         with pytest.raises(ValidationError, match="invariant"):
             split_blocks(h0, low_columns=np.eye(4)[:, :2])
         # A cross block below the spectral scale (805) times BLOCK_RTOL but
-        # above the largest entry (105) times it: the split accepts it,
-        # effective_hamiltonian refuses it.
+        # above the largest entry (105) times it: the one test reads the
+        # entry scale, so the split and effective_hamiltonian both refuse it.
         h0 = np.zeros((10, 10))
         h0[2:, 2:] = 100.0 + 5.0 * np.eye(8)
         h0[0, 2] = h0[2, 0] = 3e-8
         cols = np.eye(10)[:, :2]
-        split_blocks(h0, low_columns=cols)
+        with pytest.raises(ValidationError, match="invariant"):
+            split_blocks(h0, low_columns=cols)
         with pytest.raises(ValidationError, match="block diagonal"):
             effective_hamiltonian(h0, np.zeros((10, 10)), 0.1, low_columns=cols)
 
@@ -389,18 +399,20 @@ class TestCoordinateSplit:
         assert result.h_eff.dtype == np.float64
         assert result.split.h0_high.dtype == np.float64
 
-    @pytest.mark.parametrize("defect", ["asymmetric", "nan"])
+    @pytest.mark.parametrize("defect", ["asymmetric", "nan", "inf"])
     @pytest.mark.parametrize("phase", [1.0, 1j], ids=["coordinate", "rotated"])
     def test_bad_h0_in_the_cross_block_is_refused(self, defect, phase):
-        # low rows 0 and 1; the only defect is at (low 0, high 3)
-        h0 = np.diag([0.0, 0.0, 5.0, 7.0]).astype(complex)
-        h0[0, 3] = 0.5 if defect == "asymmetric" else np.nan
+        # low rows 0 and 1; the only defect is at (low 0, high 3) or at its
+        # mirror (high 3, low 0), and no whole-matrix check reads either
         cols = np.eye(4)[:, :2] * phase
         v = np.zeros((4, 4))
-        with pytest.raises(ValidationError):
-            split_blocks(h0, low_columns=cols)
-        with pytest.raises(ValidationError):
-            effective_hamiltonian(h0, v, 0.1, low_columns=cols)
+        for entry in ((0, 3), (3, 0)):
+            h0 = np.diag([0.0, 0.0, 5.0, 7.0]).astype(complex)
+            h0[entry] = {"asymmetric": 0.5, "nan": np.nan, "inf": np.inf}[defect]
+            with pytest.raises(ValidationError):
+                split_blocks(h0, low_columns=cols)
+            with pytest.raises(ValidationError):
+                effective_hamiltonian(h0, v, 0.1, low_columns=cols)
         split = split_blocks(np.diag([0.0, 0.0, 5.0, 7.0]), low_columns=cols)
         assert (split.rows is None) == (phase != 1.0)
 
