@@ -202,7 +202,7 @@ def cmd_ising(args) -> int:
         embedding = embed_ising(instance, penalty)
         result = scf_solve(embedding, instance.num_sites,
                            restarts=args.restarts, seed=args.seed)
-        decoded = decode_spins(instance, result.state)
+        decoded, undecided = decode_spins(instance, result.state)
         decoded_energy = classical_energy(instance, decoded)
     report.add("penalty", float(penalty))
     report.add("restarts", args.restarts)
@@ -212,6 +212,7 @@ def cmd_ising(args) -> int:
     report.add("scf-iterations", result.iterations)
     report.add("scf-restarts-converged", result.restarts_converged)
     report.add("scf-residual", result.history[-1])
+    report.add("undecided-sites", undecided)
     report.add("decoded-spins", *(f"{s:+d}" for s in decoded))
     report.add("decoded-energy", decoded_energy)
     # The embedding is exact on classical determinants, so the decoded

@@ -190,11 +190,12 @@ class ExchangeReport:
 
 
 def _real_if_real(matrix: np.ndarray) -> np.ndarray:
-    """``matrix.real`` unless an imaginary part exceeds ``NEGLIGIBLE``.
+    """A copy of ``matrix.real`` unless an imaginary part exceeds ``NEGLIGIBLE``.
 
     Hopping is always real; only a Y field gives ``h0`` imaginary entries.
+    A copy, not the ``.real`` view, so that the complex matrix is freed.
     """
-    return matrix if np.abs(matrix.imag).max() > NEGLIGIBLE else matrix.real
+    return matrix if np.abs(matrix.imag).max() > NEGLIGIBLE else matrix.real.copy()
 
 
 def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:

@@ -5,6 +5,10 @@ A problem instance is a second-quantized Hamiltonian
     H = sum_ij h_ij a+_i a_j + (1/2) sum_ijkl w_ijkl a+_i a+_j a_k a_l
 
 with Hermitian one-body part and two-body symmetry ``w_ijkl = conj(w_lkji)``.
+The two-body part is stored as its nonzero entries (sorted flat indices and
+values), never as a dense ``m^4`` tensor, except where an exact sector
+matrix, small by ``MAX_EXACT_DIMENSION``, is built.
+
 The solver minimizes the Slater-determinant energy functional by Roothaan
 iteration over several deterministic restarts, run in lockstep: a damped
 start, then Pulay DIIS once a restart's commutator ``||FD - DF||_F`` falls
@@ -17,12 +21,14 @@ order, and one kernel serves both the solver and the Wick energy
 ``1/2 tr((h + F[D]) D)``.
 
 The Ising section builds L x L x 2 nearest-neighbor spin glasses with
-couplings in {-1, 0, +1}, a brute-force oracle over all configurations, and
+couplings in {-1, 0, +1}, a brute-force oracle over all configurations
+(enumerated by doubling, one site at a time, without per-site tables), and
 a fermionic embedding in which every classical spin configuration is a
 Slater determinant with exactly the classical energy: site s holds modes
 (2s, 2s+1), single occupancy is enforced by an on-site penalty, and the
 coupling ``J sigma_i sigma_j`` becomes density-density terms with signs
-``(-1)**(a+b)`` over the mode pairs.
+``(-1)**(a+b)`` over the mode pairs: 8 two-body entries per nonzero bond
+and 2 per site.
 """
 
 from __future__ import annotations
@@ -61,7 +67,14 @@ MAX_CHUNK_STATES = 256
 
 
 class SecondQuantizedHamiltonian:
-    """One- and two-body coefficient tensors with validated symmetry."""
+    """A one-body matrix and two-body entries, with validated symmetry.
+
+    The two-body part is stored as entries, not as an ``m^4`` tensor:
+    ``two_body_index`` holds the sorted row-major flat indices
+    ``((i*m + j)*m + k)*m + l`` of its nonzero coefficients and
+    ``two_body_values`` their complex values.  The constructor takes a dense
+    ``(m, m, m, m)`` array or None; ``from_entries`` takes mode quadruples.
+    """
 
     def __init__(self, one_body, two_body=None):
         one_body = np.asarray(one_body, dtype=complex)
@@ -71,35 +84,90 @@ class SecondQuantizedHamiltonian:
         if m < 1:
             raise ValidationError("need at least one mode")
         _checked_hermitian(one_body)
+        self.one_body = one_body
         if two_body is None:
-            two_body = np.zeros((m, m, m, m), dtype=complex)
-        two_body = np.asarray(two_body, dtype=complex)
-        if two_body.shape != (m, m, m, m):
+            flat, values = np.empty(0, dtype=np.intp), np.empty(0, dtype=complex)
+        else:
+            two_body = np.asarray(two_body, dtype=complex)
+            if two_body.shape != (m, m, m, m):
+                raise ValidationError(
+                    f"two-body part must have shape {(m,) * 4}, got {two_body.shape}")
+            flat = np.flatnonzero(two_body)
+            values = two_body.ravel()[flat]
+        self._set_two_body(flat, values)
+
+    @classmethod
+    def from_entries(cls, one_body, modes, values):
+        """The Hamiltonian with two-body coefficient ``values[n]`` at mode
+        quadruple ``modes[n]`` (shape ``(count, 4)``); repeated quadruples
+        are summed in the order given."""
+        ham = cls(one_body)
+        m = ham.num_modes
+        modes = np.asarray(modes, dtype=np.intp)
+        values = np.asarray(values)
+        if modes.ndim != 2 or modes.shape[1] != 4 or values.shape != modes.shape[:1]:
             raise ValidationError(
-                f"two-body part must have shape {(m,) * 4}, got {two_body.shape}")
-        # Checked on the nonzero entries only: a zero entry facing a nonzero
-        # mirror shows the same difference at the mirror's index.
-        i, j, k, l = np.nonzero(two_body)
-        entries = two_body[i, j, k, l]
+                f"need (count, 4) mode quadruples and count values, got "
+                f"{modes.shape} and {values.shape}")
+        if modes.size and (modes.min() < 0 or modes.max() >= m):
+            raise ValidationError(f"two-body mode index outside [0, {m})")
+        ham._set_two_body(np.ravel_multi_index(tuple(modes.T), (m,) * 4), values)
+        return ham
+
+    def _set_two_body(self, flat, values):
+        """Store the two-body entries, after checking them.
+
+        Repeated flat indices are summed in the order given, as ``np.add.at``
+        sums records into a dense tensor (``np.bincount`` adds its weights in
+        order, from zero), and sums of zero are dropped: the stored entries
+        are the nonzero coefficients of that tensor, as given (not
+        symmetrized).  Finiteness and ``w_ijkl = conj(w_lkji)`` are checked
+        on those entries only: a zero entry facing a nonzero mirror shows the
+        same difference at the mirror's index.
+        """
+        index, slot = np.unique(flat, return_inverse=True)
+        merged = np.zeros(index.size, dtype=complex)
+        _accumulate(merged, slot, values)
+        nonzero = merged != 0
+        self.two_body_index, self.two_body_values = index[nonzero], merged[nonzero]
+        entries = self.two_body_values
         if not np.isfinite(entries).all():
             raise ValidationError("non-finite coefficient in the two-body part")
         scale2 = max(1.0, float(np.abs(entries).max(initial=0.0)))
-        mirror = two_body[l, k, j, i].conj()
+        i, j, k, l = np.unravel_index(self.two_body_index, (self.num_modes,) * 4)
+        mirror = self.two_body_at(l, k, j, i).conj()
         if np.abs(entries - mirror).max(initial=0.0) > HERMITICITY_ATOL * scale2:
             raise ValidationError(
                 "two-body part violates w[i,j,k,l] == conj(w[l,k,j,i])")
-        self.one_body = one_body
-        self.two_body = two_body
 
     @property
     def num_modes(self) -> int:
         return self.one_body.shape[0]
 
+    def two_body_at(self, i, j, k, l) -> np.ndarray:
+        """Coefficients ``w[i, j, k, l]`` at broadcast mode-index arrays,
+        zero where no entry is stored."""
+        m = self.num_modes
+        flat = ((np.asarray(i) * m + j) * m + k) * m + l
+        index = self.two_body_index
+        if not index.size:
+            return np.zeros(flat.shape, dtype=complex)
+        at = np.minimum(np.searchsorted(index, flat), index.size - 1)
+        return np.where(index[at] == flat, self.two_body_values[at], 0)
+
+    def dense_two_body(self) -> np.ndarray:
+        """The two-body part as a dense ``(m, m, m, m)`` tensor."""
+        m = self.num_modes
+        dense = np.zeros(m ** 4, dtype=complex)
+        dense[self.two_body_index] = self.two_body_values
+        return dense.reshape((m,) * 4)
+
     def __eq__(self, other):
         if not isinstance(other, SecondQuantizedHamiltonian):
             return NotImplemented
         return (np.array_equal(self.one_body, other.one_body)
-                and np.array_equal(self.two_body, other.two_body))
+                and np.array_equal(self.two_body_index, other.two_body_index)
+                and np.array_equal(self.two_body_values, other.two_body_values))
 
     def __repr__(self):
         return f"SecondQuantizedHamiltonian(modes={self.num_modes})"
@@ -113,7 +181,8 @@ def _accumulate(out, flat, values):
 
 
 def sector_matrix(ham: SecondQuantizedHamiltonian, sector: FockSector) -> np.ndarray:
-    """Matrix of ``ham`` on a fixed-particle-number sector, from its tensors.
+    """Matrix of ``ham`` on a fixed-particle-number sector, from its dense
+    tensors (exact sectors are small by ``MAX_EXACT_DIMENSION``).
 
     With ``E_pq = a+_p a_q``, ``a+_i a+_j a_k a_l = E_il E_jk - delta_jl E_ik``,
     so ``H = sum_ik (h_ik - 1/2 sum_j w_ijkj) E_ik
@@ -131,11 +200,12 @@ def sector_matrix(ham: SecondQuantizedHamiltonian, sector: FockSector) -> np.nda
     dim = sector.dimension
     pairs, targets, signs = excitation_table(sector)
     out = np.zeros((dim, dim), dtype=complex)
-    one_body = ham.one_body - 0.5 * np.einsum("ijkj->ik", ham.two_body)
+    w = ham.dense_two_body()
+    one_body = ham.one_body - 0.5 * np.einsum("ijkj->ik", w)
     cols = np.arange(dim)[:, None]
     _accumulate(out, targets * dim + cols, one_body.reshape(-1)[pairs] * signs)
     # w_ijkl at [i*m + l, j*m + k]: row pair of E_il, column pair of E_jk
-    two_body = 0.5 * ham.two_body.transpose(0, 3, 1, 2).reshape(m * m, m * m)
+    two_body = 0.5 * w.transpose(0, 3, 1, 2).reshape(m * m, m * m)
     per_state = max(1, pairs.shape[1]) ** 2
     chunk = max(1, min(MAX_CHUNK_STATES, dim * dim // per_state))
     for start in range(0, dim, chunk):
@@ -186,12 +256,14 @@ class SlaterState:
         return self.orbitals @ self.orbitals.conj().T
 
 
-def _fock_builder(h, w):
-    """``density -> Fock matrix`` for one-body part ``h`` and interaction ``w``.
+def _fock_builder(ham: SecondQuantizedHamiltonian):
+    """``density -> Fock matrix`` of ``ham``, one-body part ``h`` and
+    interaction ``w``.
 
     The four contractions of the two-body tensor with the density fold into
-    one ``(m^2, m^2)`` kernel.  Only the rows and the columns that a nonzero
-    entry of ``w`` reaches are built, so each build is one product with a
+    one ``(m^2, m^2)`` kernel.  Only the rows and the columns that a stored
+    entry of ``w`` reaches are built, by placing each stored entry at the
+    kernel cells it reaches, so each build is one product with a
     row-and-column-restricted kernel.  The map takes one density or a stack
     ``(R, m, m)`` of them and builds every Fock matrix in that one product.
 
@@ -202,22 +274,36 @@ def _fock_builder(h, w):
     product's rounding and is not symmetrized per build: the eigensolver's
     check is the one Hermiticity pass per iteration.
     """
-    m = h.shape[0]
-    h = 0.5 * (h + h.conj().T)
-    a, b, c, d = np.nonzero(w)
+    m = ham.num_modes
+    h = 0.5 * (ham.one_body + ham.one_body.conj().T)
+    modes = np.unravel_index(ham.two_body_index, (m,) * 4)
+    a, b, c, d = modes
     rows = np.unique(np.concatenate([a * m + d, b * m + c, a * m + c, b * m + d]))
     # The columns that w reaches are these rows transposed, and v reaches
     # both: one index set for rows and columns, closed under pq -> qp.
     index = np.union1d(rows, rows % m * m + rows // m)
-    p, q = np.divmod(index[:, None], m)
-    x, y = np.divmod(index, m)
+    position = np.zeros(m * m, dtype=np.intp)        # of each pair in index
+    position[index] = np.arange(index.size)
+    # 2 v_ijkl = w_ijkl + conj(w_lkji): a stored w_abcd enters at its own
+    # index and, conjugated, at the mirror index dcba.
+    parts = ((modes, ham.two_body_values), (modes[::-1], ham.two_body_values.conj()))
 
-    def v(i, j, k, l):
-        return w[i, j, k, l] + w[l, k, j, i].conj()    # 2 v_ijkl
+    def v(pattern):
+        """The grid of ``2 v_pattern``: cell ``(p*m + q, x*m + y)`` holds
+        ``2 v`` at the index that ``pattern`` spells with that cell's p, q,
+        x and y.  Cells and indices correspond one to one, so placing the
+        stored values and their mirror conjugates gives every cell the
+        operands that reading ``v`` at it would."""
+        out = np.zeros((2, index.size, index.size), dtype=complex)
+        for part, (ijkl, values) in zip(out, parts):
+            mode = dict(zip(pattern, ijkl))
+            part[position[mode["p"] * m + mode["q"]],
+                 position[mode["x"] * m + mode["y"]]] = values
+        return out[0] + out[1]
 
     # kernel[p*m + q, x*m + y] = (v_pyxq + v_ypqx - v_pyqx - v_ypxq) / 2,
     # grouped so that the conjugate of entry (qp, yx) adds the same terms.
-    kernel = 0.25 * ((v(p, y, x, q) + v(y, p, q, x)) - (v(p, y, q, x) + v(y, p, x, q)))
+    kernel = 0.25 * ((v("pyxq") + v("ypqx")) - (v("pyqx") + v("ypxq")))
     # Transposed, so that flattened densities multiply it from the left.
     kernel = np.ascontiguousarray(kernel.T)
     # A complete index set indexes as a slice: a view, not a gather.
@@ -249,8 +335,7 @@ def _energies(h, fock, density):
 def hartree_fock_energy(ham: SecondQuantizedHamiltonian, state) -> float:
     """Wick expectation of the Hamiltonian in one determinant."""
     density = state.density() if isinstance(state, SlaterState) else np.asarray(state)
-    h = ham.one_body
-    return float(_energies(h, _fock_builder(h, ham.two_body), density))
+    return float(_energies(ham.one_body, _fock_builder(ham), density))
 
 
 @dataclass
@@ -356,7 +441,7 @@ def scf_solve(ham: SecondQuantizedHamiltonian, num_particles: int, *,
         raise ValidationError("need at least one iteration")
     rng = np.random.default_rng(seed)
     h = ham.one_body
-    fock = _fock_builder(h, ham.two_body)
+    fock = _fock_builder(ham)
     frames = [eig_hermitian(h).vectors[:, :num_particles]]
     frames += [_haar_orbitals(rng, m, num_particles) for _ in range(1, restarts)]
     orbitals = np.stack(frames)                 # each restart's final frame
@@ -457,33 +542,41 @@ def second_quantized_to_text(ham: SecondQuantizedHamiltonian) -> str:
 
     The format carries real coefficients only.
     """
+    values = ham.two_body_values
     if (np.abs(ham.one_body.imag).max() > NEGLIGIBLE
-            or np.abs(ham.two_body.imag).max() > NEGLIGIBLE):
+            or np.abs(values.imag).max(initial=0.0) > NEGLIGIBLE):
         raise ValidationError(
             "the interchange format only accepts real coefficients")
-    lines = [f"modes {ham.num_modes}"]
-    for kind, tensor in (("1", ham.one_body.real), ("2", ham.two_body.real)):
-        # Nonzero entries only, listed in row-major order.
-        for index in zip(*np.nonzero(tensor)):
-            modes = " ".join(str(i) for i in index)
-            lines.append(f"{kind} {modes} {float(tensor[index])!r}")
+    m = ham.num_modes
+    one = ham.one_body.real
+    one_modes = np.nonzero(one)
+    two = values.real
+    nonzero = two != 0
+    two_modes = np.unravel_index(ham.two_body_index[nonzero], (m,) * 4)
+    lines = [f"modes {m}"]
+    # Nonzero entries only, listed in row-major order.
+    for kind, modes, coefficients in (("1", one_modes, one[one_modes]),
+                                      ("2", two_modes, two[nonzero])):
+        for *index, value in zip(*(a.tolist() for a in modes), coefficients.tolist()):
+            lines.append(f"{kind} {' '.join(map(str, index))} {value!r}")
     return "\n".join(lines) + "\n"
 
 
-def _plain_tensors(lines, num_modes):
-    """The one- and two-body tensors of ``lines`` read in bulk, or None.
+def _plain_records(lines, num_modes):
+    """The one-body matrix and the two-body mode quadruples and values of
+    ``lines``, read in bulk, or None.
 
     Handles records as ``second_quantized_to_text`` writes them: every line
     starts with ``1 `` or ``2 `` and is ``1 i j v`` or ``2 i j k l v`` with
     decimal mode indices in range.  ``np.loadtxt`` parses a float as
-    Python's ``float`` does, and ``np.add.at`` sums repeated records in
-    file order, so the tensors equal the record-by-record reading.
+    Python's ``float`` does, and repeated records are summed in file order
+    (``np.add.at`` here, ``from_entries`` for the two-body part), so the
+    Hamiltonian equals the record-by-record reading.
     """
-    tensors = []
+    one = np.zeros((num_modes, num_modes))
+    two_modes, two_values = np.empty((0, 4), dtype=np.intp), np.empty(0)
     read = 0
     for kind, order in (("1", 2), ("2", 4)):
-        target = np.zeros((num_modes,) * order)
-        tensors.append(target)
         prefix = kind + " "
         rows = [line for line in lines if line.startswith(prefix)]
         if not rows:
@@ -496,9 +589,12 @@ def _plain_tensors(lines, num_modes):
         modes = table["modes"]
         if modes.min() < 0 or modes.max() >= num_modes:
             return None
-        np.add.at(target, tuple(modes.T), table["value"])
+        if order == 2:
+            np.add.at(one, tuple(modes.T), table["value"])
+        else:
+            two_modes, two_values = modes, table["value"]
         read += len(rows)
-    return tensors if read == len(lines) else None
+    return (one, two_modes, two_values) if read == len(lines) else None
 
 
 def second_quantized_from_text(text: str) -> SecondQuantizedHamiltonian:
@@ -506,21 +602,19 @@ def second_quantized_from_text(text: str) -> SecondQuantizedHamiltonian:
     num_modes = reader.field("modes", int)
     if num_modes < 1:
         raise reader.error("need at least one mode")
-    tensors = _plain_tensors(reader.remaining(), num_modes)
-    if tensors is not None:
-        return reader.build(SecondQuantizedHamiltonian, *tensors)
+    records = _plain_records(reader.remaining(), num_modes)
+    if records is not None:
+        return reader.build(SecondQuantizedHamiltonian.from_entries, *records)
     # Record by record: accepts every spelling ``int`` and ``float`` accept
     # and names the line of a bad record.
     one = np.zeros((num_modes, num_modes))
-    two = np.zeros((num_modes,) * 4)
+    two_modes, two_values = [], []
     for line in reader.rest():
         tokens = line.split()
         try:
             if tokens[0] == "1" and len(tokens) == 4:
-                target = one
                 indices = (int(tokens[1]), int(tokens[2]))
             elif tokens[0] == "2" and len(tokens) == 6:
-                target = two
                 indices = (int(tokens[1]), int(tokens[2]),
                            int(tokens[3]), int(tokens[4]))
             else:
@@ -530,8 +624,14 @@ def second_quantized_from_text(text: str) -> SecondQuantizedHamiltonian:
             raise reader.error(f"bad record {line!r}") from None
         if min(indices) < 0 or max(indices) >= num_modes:
             raise reader.error(f"mode index outside [0, {num_modes})")
-        target[indices] += value
-    return reader.build(SecondQuantizedHamiltonian, one, two)
+        if len(indices) == 2:
+            one[indices] += value
+        else:
+            two_modes.append(indices)
+            two_values.append(value)
+    return reader.build(SecondQuantizedHamiltonian.from_entries, one,
+                        np.array(two_modes, dtype=np.intp).reshape(-1, 4),
+                        np.array(two_values))
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +639,10 @@ def second_quantized_from_text(text: str) -> SecondQuantizedHamiltonian:
 # ---------------------------------------------------------------------------
 
 MAX_GRID_LENGTH = 3
+# Least difference |n_2s - n_2s+1| of a site's two mode densities that
+# decides its spin: a singly occupied site differs by about 1, a doubly
+# occupied or empty one by rounding noise.
+DECODE_MARGIN = 1e-6
 
 
 def grid_index(x: int, y: int, z: int, length: int) -> int:
@@ -658,18 +762,31 @@ class IsingOracle:
 
 
 def ising_oracle(instance: IsingInstance) -> IsingOracle:
-    """Vectorized enumeration of all 2^sites configurations.
+    """Enumeration of all 2^sites configuration energies by doubling.
 
-    Ties break toward the lowest basis index, i.e. the configuration with
-    the most leading up spins.
+    Sites are appended one at a time as the next low bit of the basis
+    index: with ``f`` the field of the bonds from site s to earlier sites,
+    each energy ``E`` of the first s sites becomes ``E + f`` (site s up) and
+    ``E - f`` (down).  The energies are small integers, so the sums are
+    exact.  Ties break toward the lowest basis index, i.e. the configuration
+    with the most leading up spins.
     """
     n = instance.num_sites
-    indices = np.arange(2 ** n, dtype=np.int64)
-    sign = [1 - 2 * ((indices >> (n - 1 - s)) & 1) for s in range(n)]
-    energies = np.zeros(2 ** n)
-    for (i, j), value in instance.couplings.items():
-        if value != 0:
-            energies += value * (sign[i] * sign[j])
+    earlier = [[] for _ in range(n)]
+    for i, j, value in instance.nonzero_edges():
+        earlier[j].append((i, value))
+    energies = np.zeros(1, dtype=np.int32)
+    for s in range(n):
+        field = np.zeros_like(energies)
+        for i, value in earlier[s]:
+            # The middle axis is site i's bit, bit s-1-i of the index so far.
+            spin = field.reshape(2 ** i, 2, -1)
+            spin[:, 0] += value
+            spin[:, 1] -= value
+        doubled = np.empty((energies.size, 2), dtype=energies.dtype)
+        np.add(energies, field, out=doubled[:, 0])
+        np.subtract(energies, field, out=doubled[:, 1])
+        energies = doubled.reshape(-1)
     best = int(np.argmin(energies))
     return IsingOracle(float(energies[best]), index_to_spins(best, n), best)
 
@@ -694,11 +811,11 @@ def embed_ising(instance: IsingInstance, penalty=None) -> SecondQuantizedHamilto
         raise ValidationError(
             f"penalty {penalty} is below the dominance floor {max(floor, 0.0)}")
     m = 2 * instance.num_sites
-    two = np.zeros((m, m, m, m), dtype=complex)   # the stored dtype: no copy
+    modes, values = [], []
 
     def add_density_pair(p, q, value):
-        two[p, q, q, p] += value
-        two[q, p, p, q] += value
+        modes.extend(((p, q, q, p), (q, p, p, q)))
+        values.extend((value, value))
 
     for site in range(instance.num_sites):
         add_density_pair(2 * site, 2 * site + 1, penalty)
@@ -708,7 +825,8 @@ def embed_ising(instance: IsingInstance, penalty=None) -> SecondQuantizedHamilto
         for a in (0, 1):
             for b in (0, 1):
                 add_density_pair(2 * i + a, 2 * j + b, value * (-1) ** (a + b))
-    return SecondQuantizedHamiltonian(np.zeros((m, m)), two)
+    return SecondQuantizedHamiltonian.from_entries(np.zeros((m, m)), modes,
+                                                   np.array(values, dtype=float))
 
 
 def classical_state(instance: IsingInstance, spins) -> SlaterState:
@@ -725,7 +843,16 @@ def classical_state(instance: IsingInstance, spins) -> SlaterState:
 
 
 def decode_spins(instance: IsingInstance, state: SlaterState):
-    """Round a determinant's site densities back to classical spins."""
+    """Round a determinant's site densities back to classical spins.
+
+    Returns the spins and the number of undecided sites.  Site s decodes by
+    its mode densities ``n_2s`` (up) and ``n_2s+1`` (down) when they differ
+    by more than ``DECODE_MARGIN``; a doubly occupied or empty site differs
+    by rounding noise only, so it is undecided and decodes as +1.
+    """
+    n = instance.num_sites
     density = np.diag(state.density()).real
-    return tuple(1 if density[2 * s] >= density[2 * s + 1] else -1
-                 for s in range(instance.num_sites))
+    up, down = density[0:2 * n:2], density[1:2 * n:2]
+    decided = np.abs(up - down) > DECODE_MARGIN
+    spins = np.where(decided & (down > up), -1, 1)
+    return tuple(spins.tolist()), int(n - decided.sum())

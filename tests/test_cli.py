@@ -385,6 +385,7 @@ class TestIsing:
         assert code == 0
         assert field(report, "decoded-energy") == "-1.0"
         assert field(report, "decoded-spins") == "+1 -1"
+        assert field(report, "undecided-sites") == "0"
         assert field(report, "penalty") == "10.0"
         assert field(report, "seed") == "0"
         converged = field(report, "scf-converged") == "yes"

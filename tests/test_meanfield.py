@@ -9,7 +9,9 @@ hold it to ``wick_energy``, the direct and exchange contractions of the
 whole two-body tensor, and differentiate that reference, not the kernel.
 """
 
+import tracemalloc
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -62,11 +64,12 @@ def fermionic_operator(ham):
             c = ham.one_body[i, j]
             if c != 0:
                 terms.append((c, ((i, True), (j, False))))
+    w = ham.dense_two_body()
     for i in range(m):
         for j in range(m):
             for k in range(m):
                 for l in range(m):
-                    c = ham.two_body[i, j, k, l]
+                    c = w[i, j, k, l]
                     if c != 0:
                         terms.append(
                             (0.5 * c,
@@ -76,7 +79,7 @@ def fermionic_operator(ham):
 
 def wick_energy(ham, density):
     """Reference Wick energy of a density, contracted over the whole tensor."""
-    w = ham.two_body
+    w = ham.dense_two_body()
     e_one = np.einsum("ij,ji->", ham.one_body, density)
     direct = np.einsum("ijkl,li,kj->", w, density, density)
     exchange = np.einsum("ijkl,ki,lj->", w, density, density)
@@ -85,7 +88,51 @@ def wick_energy(ham, density):
 
 def fock_matrix(ham, density):
     """The library's Fock build of one density or a stack of them."""
-    return meanfield._fock_builder(ham.one_body, ham.two_body)(np.asarray(density))
+    return meanfield._fock_builder(ham)(np.asarray(density))
+
+
+def dense_fock_builder(h, w):
+    """Reference Fock build: the restricted kernel read from a dense tensor
+    ``w`` by fancy indexing, with the library's index sets and arithmetic."""
+    m = h.shape[0]
+    h = 0.5 * (h + h.conj().T)
+    a, b, c, d = np.nonzero(w)
+    rows = np.unique(np.concatenate([a * m + d, b * m + c, a * m + c, b * m + d]))
+    index = np.union1d(rows, rows % m * m + rows // m)
+    p, q = np.divmod(index[:, None], m)
+    x, y = np.divmod(index, m)
+
+    def v(i, j, k, l):
+        return w[i, j, k, l] + w[l, k, j, i].conj()
+
+    kernel = 0.25 * ((v(p, y, x, q) + v(y, p, q, x)) - (v(p, y, q, x) + v(y, p, x, q)))
+    kernel = np.ascontiguousarray(kernel.T)
+
+    def fock(density):
+        flat = density.reshape(*density.shape[:-2], m * m)
+        interaction = np.zeros(flat.shape, dtype=complex)
+        interaction[..., index] = flat[..., index] @ kernel
+        return h + interaction.reshape(density.shape)
+
+    return fock
+
+
+def dense_embedding(instance):
+    """Reference: the embedding's two-body tensor, written entry by entry."""
+    m = 2 * instance.num_sites
+    w = np.zeros((m,) * 4)
+
+    def add_density_pair(p, q, value):
+        w[p, q, q, p] += value
+        w[q, p, p, q] += value
+
+    for site in range(instance.num_sites):
+        add_density_pair(2 * site, 2 * site + 1, default_penalty(instance))
+    for i, j, value in instance.nonzero_edges():
+        for a in (0, 1):
+            for b in (0, 1):
+                add_density_pair(2 * i + a, 2 * j + b, value * (-1) ** (a + b))
+    return w
 
 
 def random_hamiltonian(rng, modes, real=False):
@@ -164,7 +211,7 @@ def _reference_scf(ham, num_particles, *, restarts, seed=0, max_iterations=500,
     """
     m = ham.num_modes
     rng = np.random.default_rng(seed)
-    w = ham.two_body
+    w = ham.dense_two_body()
     kernel = 0.5 * (np.einsum("pjkq->pqkj", w) + np.einsum("ipql->pqli", w)
                     - np.einsum("pjql->pqlj", w)
                     - np.einsum("ipkq->pqki", w)).reshape(m * m, m * m)
@@ -680,13 +727,105 @@ class TestDIIS:
         assert diis.energy == pytest.approx(damped.energy, rel=0, abs=1e-9)
 
 
+def dense_and_entry_built(kind, size, seed):
+    """``h``, ``w`` and one Hamiltonian built from them twice: from the
+    dense tensor and from its nonzero entries in shuffled order."""
+    rng = np.random.default_rng(seed)
+    if kind == "ising":
+        inst = random_instance(size, seed)
+        h, w = np.zeros((2 * inst.num_sites,) * 2), dense_embedding(inst)
+        return h, w, SecondQuantizedHamiltonian(h, w), embed_ising(inst)
+    h = rng.normal(size=(size, size))
+    # Sparse, so that kernel lookups also miss.
+    w = rng.normal(size=(size,) * 4) * (rng.random((size,) * 4) < 0.3)
+    if kind == "complex":
+        h = h + 1j * rng.normal(size=h.shape)
+        w = w + 1j * w * rng.normal(size=w.shape)
+    h = (h + h.conj().T) / 2
+    w = (w + w.conj().transpose(3, 2, 1, 0)) / 2
+    modes = rng.permutation(np.argwhere(w))
+    entries = SecondQuantizedHamiltonian.from_entries(h, modes, w[tuple(modes.T)])
+    return h, w, SecondQuantizedHamiltonian(h, w), entries
+
+
+class TestTwoBodyEntries:
+    """Entry-built Hamiltonians against dense-built ones and dense references."""
+
+    @pytest.mark.parametrize("case", [
+        ("real", 4, 0), ("real", 6, 1), ("complex", 5, 2),
+        ("ising", 1, 0), ("ising", 2, 0), ("ising", 3, 0),
+    ], ids=str)
+    def test_dense_and_entry_built_agree(self, case):
+        h, w, dense, entries = dense_and_entry_built(*case)
+        assert dense == entries
+        np.testing.assert_array_equal(entries.dense_two_body(), w)
+        m = dense.num_modes
+        rng = np.random.default_rng(7)
+        raw = rng.normal(size=(3, m, m)) + 1j * rng.normal(size=(3, m, m))
+        densities = raw + raw.conj().swapaxes(-2, -1)
+        want = dense_fock_builder(np.asarray(h, dtype=complex), np.asarray(w, dtype=complex))
+        want = want(densities)
+        for ham in (dense, entries):
+            assert meanfield._fock_builder(ham)(densities).tobytes() == want.tobytes()
+        state = random_state(rng, m, m // 2)
+        energy = hartree_fock_energy(entries, state)
+        assert energy == hartree_fock_energy(dense, state)
+        if m <= 16:
+            assert energy == pytest.approx(wick_energy(dense, state.density()),
+                                           rel=1e-10, abs=1e-10)
+        if case[0] != "complex":
+            assert second_quantized_to_text(entries) == second_quantized_to_text(dense)
+        if comb(m, m // 2) <= 100:
+            sector = FockSector(m, m // 2)
+            np.testing.assert_array_equal(sector_matrix(entries, sector),
+                                          sector_matrix(dense, sector))
+
+    def test_entries_sum_in_the_order_given_and_are_not_symmetrized(self):
+        zero = np.zeros((3, 3))
+        quad = [[0, 1, 1, 0]] * 3
+        ham = SecondQuantizedHamiltonian.from_entries(zero, quad, [0.1, 0.2, 0.3])
+        assert ham.two_body_values.tolist() == [(0.1 + 0.2) + 0.3]
+        ham = SecondQuantizedHamiltonian.from_entries(zero, quad, [0.3, 0.2, 0.1])
+        assert ham.two_body_values.tolist() == [(0.3 + 0.2) + 0.1]
+        # A sum of zero stores no entry.
+        ham = SecondQuantizedHamiltonian.from_entries(zero, quad[:2], [1.0, -1.0])
+        assert ham == SecondQuantizedHamiltonian(zero) and ham.two_body_index.size == 0
+        # Mirror pairs within the tolerance are kept as given.
+        ham = SecondQuantizedHamiltonian.from_entries(
+            zero, [[0, 1, 2, 0], [0, 2, 1, 0]], [1.0, 1.0 + 1e-11])
+        assert ham.two_body_at(0, 2, 1, 0) == 1.0 + 1e-11
+        assert ham.two_body_at(0, 1, 2, 0) == 1.0
+        assert ham.two_body_at(1, 1, 1, 1) == 0.0
+
+    def test_bad_entries_are_rejected(self):
+        zero = np.zeros((3, 3))
+        build = SecondQuantizedHamiltonian.from_entries
+        with pytest.raises(ValidationError, match="violates"):
+            build(zero, [[0, 1, 2, 0]], [1.0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            build(zero, [[0, 1, 1, 0]], [np.inf])
+        with pytest.raises(ValidationError, match="non-finite"):
+            build(zero, [[0, 1, 1, 0]] * 2, [np.inf, -np.inf])
+        for quad in ([0, 1, 1, 3], [0, -1, -1, 0]):
+            with pytest.raises(ValidationError, match="outside"):
+                build(zero, [quad], [1.0])
+        with pytest.raises(ValidationError, match="quadruples"):
+            build(zero, [[0, 1, 1]], [1.0])
+        with pytest.raises(ValidationError, match="quadruples"):
+            build(zero, [[0, 1, 1, 0]], [1.0, 2.0])
+        with pytest.raises(ParseError, match="violates"):
+            second_quantized_from_text("modes 3\n2 0 1 2 0 1.0\n")
+        with pytest.raises(ParseError, match="violates"):
+            second_quantized_from_text("modes 3\n2 0 1 2 0 1.0\n2 0 2 1 0 1_0\n")
+
+
 class TestSecondQuantizedText:
     @staticmethod
     def write_entry_by_entry(ham):
         """Reference writer: every index in row-major order, zeros skipped."""
         m = ham.num_modes
         lines = [f"modes {m}"]
-        for kind, tensor in (("1", ham.one_body), ("2", ham.two_body)):
+        for kind, tensor in (("1", ham.one_body), ("2", ham.dense_two_body())):
             for index in np.ndindex(tensor.shape):
                 value = float(tensor[index].real)
                 if value != 0.0:
@@ -858,6 +997,30 @@ class TestOracle:
         assert oracle.energy == best[0]
         assert oracle.index == best[1]
 
+    @pytest.mark.parametrize("length,seed", [
+        (1, 0), (1, 1), (2, 0), (2, 3), (2, 5), (3, 0), (3, 4), (3, 11),
+    ])
+    def test_doubling_matches_the_sign_table_recount(self, length, seed):
+        inst = random_instance(length, seed)
+        n = inst.num_sites
+        # Reference: every configuration's energy from per-site sign tables.
+        indices = np.arange(2 ** n)
+        sign = [1 - 2 * ((indices >> (n - 1 - s)) & 1) for s in range(n)]
+        energies = np.zeros(2 ** n)
+        for i, j, value in inst.nonzero_edges():
+            energies += value * (sign[i] * sign[j])
+        if length < 3:
+            assert energies.tolist() == [classical_energy(inst, index_to_spins(k, n))
+                                         for k in range(2 ** n)]
+        oracle = ising_oracle(inst)
+        # Flipping every spin keeps the energy: each minimum is a tie, which
+        # goes to the lowest basis index.
+        ground = np.flatnonzero(energies == energies.min())
+        assert ground.size >= 2
+        assert type(oracle.energy) is float and oracle.energy == energies.min()
+        assert oracle.index == ground[0]
+        assert oracle.spins == index_to_spins(int(ground[0]), n)
+
     def test_classical_energy_validation(self):
         inst = IsingInstance(1, {(0, 1): 1})
         with pytest.raises(ValidationError):
@@ -895,13 +1058,43 @@ class TestEmbedding:
         inst = IsingInstance(1, {(0, 1): -1})
         for idx in range(4):
             spins = index_to_spins(idx, 2)
-            assert decode_spins(inst, classical_state(inst, spins)) == spins
+            assert decode_spins(inst, classical_state(inst, spins)) == (spins, 0)
+
+    def test_decoding_ignores_rounding_noise_on_undecided_sites(self):
+        # This solution holds doubly occupied and empty sites, whose two mode
+        # densities agree up to rounding.
+        inst = random_instance(3, 0)
+        result = scf_solve(embed_ising(inst), inst.num_sites, restarts=2)
+        spins, undecided = decode_spins(inst, result.state)
+        density = np.diag(result.state.density()).real
+        gaps = np.abs(density[0::2] - density[1::2])
+        assert undecided == np.count_nonzero(gaps <= meanfield.DECODE_MARGIN) > 0
+        assert all(s == 1 for s, gap in zip(spins, gaps) if gap <= meanfield.DECODE_MARGIN)
+        rng = np.random.default_rng(1)
+        u = result.state.orbitals
+        for _ in range(3):
+            noise = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
+            q, _ = np.linalg.qr(u + 1e-12 * noise)
+            assert decode_spins(inst, SlaterState(q)) == (spins, undecided)
+
+    def test_oracle_embedding_and_builder_stay_small(self):
+        # 2^18 configurations at L=3: per-site int64 sign tables would take
+        # 38 MB, and the dense 36^4 complex tensor 27 MB.
+        inst = random_instance(3, 0)
+        tracemalloc.start()
+        try:
+            ising_oracle(inst)
+            meanfield._fock_builder(embed_ising(inst))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20
 
     def test_scf_reaches_the_oracle_after_decoding(self):
         inst = IsingInstance(1, {(0, 1): 1})
         emb = embed_ising(inst)
         oracle = ising_oracle(inst)
         result = scf_solve(emb, inst.num_sites, restarts=4, seed=0)
-        decoded = decode_spins(inst, result.state)
+        decoded, _ = decode_spins(inst, result.state)
         assert classical_energy(inst, decoded) == oracle.energy
         assert result.energy >= oracle.energy - 1e-9
