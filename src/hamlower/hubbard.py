@@ -214,12 +214,17 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     v = _real_if_real(realize_fermion(hopping_operator(model), sector))
     columns = singly_occupied_projector(sector, model.sites)
     result = sw.effective_hamiltonian(h0, v, 1.0, low_columns=columns)
-    first_order = result.split.blocks(v)[0]
+    h_eff, first_order = result.h_eff, result.split.low_blocks(v)[0]
+    # The result holds the split's high block and v; neither is read again,
+    # so it goes before the whole solve, and h0 + v is formed in h0.
+    del result
     closed = realize_spin(heisenberg_from_hubbard(model))
-    measured = float(np.abs(result.h_eff - closed).max())
+    measured = float(np.abs(h_eff - closed).max())
     if tolerance is None:
         tolerance = exchange_error_budget(model)
-    exact = eig_values(h0 + v)
+    h0 += v
+    del v
+    exact = eig_values(h0)
     # Singlet-triplet splitting of the first edge's pure-exchange prediction;
     # only meaningful without fields, reported regardless.
     derived = float(exact[1] - exact[0]) if exact.size > 1 else 0.0

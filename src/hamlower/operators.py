@@ -58,6 +58,11 @@ NEGLIGIBLE = 1e-12
 DENSE_SPIN_LIMIT = 14
 _DENSE_LIMIT_ENV = "HAMLOWER_DENSE_LIMIT"
 
+# The Hermiticity check reads a matrix with more rows than this in row slabs
+# of this many rows, so its temporaries stay slab-sized; a matrix that fits
+# one slab, and every matrix of the SCF's small stacks, is read in one pass.
+HERMITIAN_SLAB_ROWS = 128
+
 
 def dense_spin_limit() -> int:
     """Current dense-realization cap in spins (env override included)."""
@@ -289,22 +294,45 @@ class Spectrum:
     vectors: np.ndarray
 
 
+def _largest_entry(rows, _):
+    return np.abs(rows).max(axis=(-2, -1))
+
+
+def _largest_asymmetry(rows, columns):
+    return np.abs(rows - columns.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+
+
+def _slab_max(matrix, entries):
+    """Per-matrix largest value of ``entries(rows, columns)`` over the row
+    slabs of a matrix or stack and their mirror column slabs; the whole
+    matrix is one slab when it fits one."""
+    n = matrix.shape[-1]
+    if n <= HERMITIAN_SLAB_ROWS:
+        return entries(matrix, matrix)
+    return np.max([entries(matrix[..., start:start + HERMITIAN_SLAB_ROWS, :],
+                           matrix[..., start:start + HERMITIAN_SLAB_ROWS])
+                   for start in range(0, n, HERMITIAN_SLAB_ROWS)], axis=0)
+
+
 def _checked_hermitian(matrix) -> np.ndarray:
     """``matrix`` as an array, after checking it is square and Hermitian.
 
     A stack ``(..., m, m)`` is checked matrix by matrix, each against its
-    own largest entry, in one pass over the whole stack.
+    own largest entry.  Both maxima are taken over row slabs of
+    ``HERMITIAN_SLAB_ROWS`` rows, each slab against its mirror columns, so
+    no temporary is as large as the matrix; the maxima, and so the verdict,
+    are those of one pass over the whole matrix.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
-    axes = (-2, -1)
-    scale = np.abs(matrix).max(axis=axes)
+    scale = _slab_max(matrix, _largest_entry)
     # An inf entry facing a finite mirror leaves an inf difference that an
-    # inf scale would excuse, so finiteness is checked on its own.
+    # inf scale would excuse, so finiteness is checked on its own, before
+    # any difference is formed.
     if not np.isfinite(scale).all():
         raise ValidationError("matrix has non-finite entries")
-    diff = np.abs(matrix - matrix.conj().swapaxes(-2, -1)).max(axis=axes)
+    diff = _slab_max(matrix, _largest_asymmetry)
     if not (diff <= 1e-10 * np.maximum(1.0, scale)).all():
         raise ValidationError("matrix is not Hermitian within tolerance")
     return matrix
@@ -322,19 +350,15 @@ def eig_values(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_checked_hermitian(matrix))
 
 
-def component_eig_values(matrix: np.ndarray) -> np.ndarray:
-    """``eig_values`` of one matrix, solved per connected component.
+def component_indices(matrix: np.ndarray) -> list:
+    """Indices of the connected components of a square matrix's
+    symmetrized nonzero pattern, grouped by component size.
 
-    After the same whole-matrix check, the indices are labelled by the
-    connected components of the symmetrized nonzero pattern, and each
-    component's principal block is solved on its own; blocks of one size
-    share one stacked solve.  Each block keeps its indices in ascending
-    order, so it reads the same lower triangle that a whole solve reads.
-    The merged values agree with ``eig_values`` to rounding, not bit for bit.
+    Each group is a ``(count, size)`` array with one component per row,
+    its indices in ascending order, so the principal block
+    ``matrix[idx[:, :, None], idx[:, None, :]]`` of every component in a
+    group can be solved in one stacked call.  The matrix is not checked.
     """
-    matrix = _checked_hermitian(matrix)
-    if matrix.ndim != 2:
-        raise ValidationError(f"expected one matrix, got shape {matrix.shape}")
     pattern = matrix != 0
     pattern |= pattern.T
     np.fill_diagonal(pattern, True)
@@ -354,11 +378,24 @@ def component_eig_values(matrix: np.ndarray) -> np.ndarray:
     order = np.argsort(labels, kind="stable")
     _, offsets, sizes = np.unique(labels[order], return_index=True,
                                   return_counts=True)
-    values = []
-    for size in np.unique(sizes):
-        idx = order[offsets[sizes == size, None] + np.arange(size)]
-        values.append(np.linalg.eigvalsh(
-            matrix[idx[:, :, None], idx[:, None, :]]).ravel())
+    return [order[offsets[sizes == size, None] + np.arange(size)]
+            for size in np.unique(sizes)]
+
+
+def component_eig_values(matrix: np.ndarray) -> np.ndarray:
+    """``eig_values`` of one matrix, solved per connected component.
+
+    After the same whole-matrix check, each component's principal block
+    (``component_indices``) is solved on its own; blocks of one size share
+    one stacked solve.  Each block keeps its indices in ascending order, so
+    it reads the same lower triangle that a whole solve reads.  The merged
+    values agree with ``eig_values`` to rounding, not bit for bit.
+    """
+    matrix = _checked_hermitian(matrix)
+    if matrix.ndim != 2:
+        raise ValidationError(f"expected one matrix, got shape {matrix.shape}")
+    values = [np.linalg.eigvalsh(matrix[idx[:, :, None], idx[:, None, :]]).ravel()
+              for idx in component_indices(matrix)]
     return np.sort(np.concatenate(values))
 
 

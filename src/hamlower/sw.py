@@ -28,7 +28,12 @@ solve, before it is sliced.
 Values that only set a scale or guard the regime are solved one connected
 component of the nonzero pattern at a time (``component_eig_values``): the
 high block of a ``low_columns`` split (its minimum is the gap) and ``v``
-(its norm).  The low block, whose mean is ``Ebar``, is solved whole.
+(its norm).  The low block, whose mean is ``Ebar``, is solved whole.  The
+linear solves with the centered high block, the order-2 term's and both
+generator blocks', also run per connected component of the high block
+(``_centered_solve``), so no high-block-sized centered copy, identity or
+LU factor is made; the Hermiticity checks read large matrices in row
+slabs (``operators.HERMITIAN_SLAB_ROWS``).
 """
 
 from __future__ import annotations
@@ -41,7 +46,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneracyError, RegimeError, ValidationError
-from .operators import component_eig_values, eig_hermitian, eig_values
+from .operators import (
+    component_eig_values,
+    component_indices,
+    eig_hermitian,
+    eig_values,
+)
 
 # An eigenvalue this close (relative to the spectral scale) to the threshold
 # means the split would cut through a near-degenerate multiplet.
@@ -82,6 +92,15 @@ class BlockSplit:
         split's basis."""
         return _blocks(m, self.low_projector, self.high_projector, self.rows)
 
+    def low_blocks(self, m):
+        """``m``'s (low-low, low-high) blocks alone, without the high-high
+        block that ``blocks`` also builds."""
+        if self.rows is not None:
+            lo, hi = self.rows
+            return m[np.ix_(lo, lo)], m[np.ix_(lo, hi)]
+        top = self.low_projector.conj().T @ m
+        return top @ self.low_projector, top @ self.high_projector
+
 
 def _blocks(m, low, high, rows):
     """(low-low, low-high, high-low, high-high) blocks of ``m`` on the bases
@@ -96,7 +115,11 @@ def _blocks(m, low, high, rows):
                 m[np.ix_(hi, hi)])
     k = low.shape[1]
     basis = np.hstack([low, high])
-    rotated = basis.conj().T @ m @ basis
+    # A non-finite h0 entry in a cross block reaches this product unchecked
+    # and spreads as NaN, which split_blocks' negated cross-block test
+    # refuses right after.
+    with np.errstate(invalid="ignore"):
+        rotated = basis.conj().T @ m @ basis
     return rotated[:k, :k], rotated[:k, k:], rotated[k:, :k], rotated[k:, k:]
 
 
@@ -218,31 +241,43 @@ class SWResult:
         return assemble_generator(self.split, x1, x2, self.epsilon)
 
 
-def _right_inverse(m, hc):
-    """``m @ inv(hc)`` for Hermitian ``hc``, by a linear solve."""
-    return np.linalg.solve(hc, m.conj().T).conj().T
+def _centered_solve(split, rhs):
+    """``(H_high - Ebar)^-1 rhs``, solved one connected component of the
+    high block at a time.
 
-
-def _centered(split):
-    """``H_high - Ebar``: the high block centered on the low block's mean."""
-    return split.h0_high - split.e_bar * np.eye(split.h0_high.shape[0])
+    The centered high block is block diagonal in the components of
+    ``h0_high``'s nonzero pattern (``component_indices``), so each
+    component's rows of ``rhs`` are solved against its principal block
+    alone; components of one size share one stacked solve.  This serves
+    the order-2 term and both generator blocks.
+    """
+    h = split.h0_high
+    out = np.empty(rhs.shape, dtype=np.result_type(h, rhs))
+    for idx in component_indices(h):
+        block = h[idx[:, :, None], idx[:, None, :]]
+        diagonal = np.arange(idx.shape[1])
+        block[:, diagonal, diagonal] -= split.e_bar
+        out[idx] = np.linalg.solve(block, rhs[idx])
+    return out
 
 
 def _x_blocks(split, v, order, z=None):
     """X1 = -V01 A and, at order 2, X2 = (V01 A V11 - (H0 + V00) V01 A) A.
 
     ``A`` inverts the split's centered high block and ``H0`` is its
-    centered low block; X2 is zero at order 1.  X1 is ``-z^H`` for the order-2 solve
-    ``z = A V10`` that ``effective_hamiltonian`` makes for ``h_eff``; it is
-    solved here only when no ``z`` is given.
+    centered low block; X2 is zero at order 1.  X1 is ``-z^H`` for the
+    order-2 solve ``z = A V10`` that ``effective_hamiltonian`` makes for
+    ``h_eff``; it is solved here only when no ``z`` is given.  ``A`` is
+    Hermitian, so a right product with it is the adjoint of a solve.
     """
     v00, v01, _, v11 = split.blocks(v)
-    hc = _centered(split)
-    y = _right_inverse(v01, hc) if z is None else z.conj().T
+    if z is None:
+        z = _centered_solve(split, v01.conj().T)
+    y = z.conj().T
     if order == 1:
         return -y, np.zeros_like(y)
     h0c = split.h0_low - split.e_bar * np.eye(split.low_dim)
-    return -y, _right_inverse(y @ v11 - (h0c + v00) @ y, hc)
+    return -y, _centered_solve(split, (y @ v11 - (h0c + v00) @ y).conj().T).conj().T
 
 
 def assemble_generator(split: BlockSplit, x1, x2, epsilon) -> np.ndarray:
@@ -290,16 +325,16 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, threshold=None,
             f"low-block spread {spread:.3g} exceeds gap/10 = {gap / 10:.3g}; "
             "second-order accuracy degrades",
             stacklevel=2)
-    v00, v01, _, _ = split.blocks(v)
+    v00, v01 = split.low_blocks(v)
     h_eff = split.h0_low + epsilon * v00
     z = None
     if order == 2:
-        z = np.linalg.solve(_centered(split), v01.conj().T)
+        z = _centered_solve(split, v01.conj().T)
         h_eff = h_eff - epsilon ** 2 * (v01 @ z)
         error_budget = epsilon ** 3 * v_norm ** 3 / gap ** 2
     else:
         error_budget = epsilon ** 2 * v_norm ** 2 / gap
     h_eff = (h_eff + h_eff.conj().T) / 2
-    # The result keeps z, not the centered block: an order-2 result holds
-    # no second high-block-sized array for its generator.
+    # The result keeps z, which is the generator's X1 up to sign, so a
+    # generator read later solves only for X2.
     return SWResult(split, epsilon, order, h_eff, v_norm, error_budget, v, z)

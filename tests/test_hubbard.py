@@ -1,6 +1,7 @@
 """Hubbard lattice construction, exchange physics, and serialization tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,23 @@ class TestVerifyExchange:
         assert verify_exchange(model).passed
         y_field = any(row[1] != 0.0 for row in model.fields)
         assert seen == [(y_field, False)]
+
+    def test_six_ring_peaks_below_four_sector_matrices(self):
+        # The 924-state sector's complex matrix takes 13.7 MB.  Whole-block
+        # SW solves, whole-matrix Hermiticity checks and a separate h0 + v
+        # held about 5.7 of them at once.
+        ring = HubbardModel(6, 1.0, 100.0, tuple((i, (i + 1) % 6) for i in range(6)),
+                            tuple((0.01 * (i % 3), -0.02 + 0.01 * i, 0.015 - 0.005 * i)
+                                  for i in range(6)))
+        dim = half_filling_sector(ring).dimension
+        tracemalloc.start()
+        try:
+            assert verify_exchange(ring).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dim == 924
+        assert peak < 4 * dim ** 2 * np.dtype(complex).itemsize
 
 
 class TestSerialization:

@@ -287,6 +287,27 @@ class TestHamiltonianValidation:
         with pytest.raises(ValidationError, match="violates"):
             SecondQuantizedHamiltonian(np.zeros((3, 3)), w)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mirror_check_matches_the_dense_transpose(self, seed):
+        # The mirrors are looked up in sorted key order; the verdict must be
+        # the dense tensor's, whichever entry breaks its pair.
+        rng = np.random.default_rng(seed)
+        m = 5
+        w = rng.normal(size=(m,) * 4) + 1j * rng.normal(size=(m,) * 4)
+        w = (w + w.transpose(3, 2, 1, 0).conj()) / 2
+        w[tuple(rng.integers(0, m, size=(4, 30)))] = 0.0
+        w = (w + w.transpose(3, 2, 1, 0).conj()) / 2
+        SecondQuantizedHamiltonian(np.zeros((m, m)), w)
+        for _ in range(10):
+            bad = w.copy()
+            bad[tuple(rng.integers(0, m, size=4))] += rng.choice([1e-12, 1e-6])
+            gap = np.abs(bad - bad.transpose(3, 2, 1, 0).conj()).max()
+            if gap > meanfield.HERMITICITY_ATOL * max(1.0, np.abs(bad).max()):
+                with pytest.raises(ValidationError, match="violates"):
+                    SecondQuantizedHamiltonian(np.zeros((m, m)), bad)
+            else:
+                SecondQuantizedHamiltonian(np.zeros((m, m)), bad)
+
     def test_all_zero_two_body_is_accepted(self):
         ham = SecondQuantizedHamiltonian(np.eye(2), np.zeros((2, 2, 2, 2)))
         assert ham == SecondQuantizedHamiltonian(np.eye(2))

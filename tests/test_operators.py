@@ -1,5 +1,7 @@
 """Operator core: realizations, algebra, sectors, and text round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 from hamlower.errors import ParseError, ResourceLimitError, ValidationError
 from hamlower.operators import (
     AXES,
+    HERMITIAN_SLAB_ROWS,
     PAULI_MATRICES,
     FermionOperator,
     FockSector,
     LineReader,
     PauliTerm,
     SpinHamiltonian,
+    _checked_hermitian,
     _read_fermion,
     component_eig_values,
     dense_spin_limit,
@@ -203,6 +207,84 @@ class TestEigensolverChecks:
             solve(stack)
         with pytest.raises(ValidationError, match="square"):
             solve(stack[:, :, :3])
+
+
+class TestSlabCheck:
+    """Matrices larger than one slab are checked in row slabs, with the
+    whole matrix's maxima and the one-pass messages."""
+
+    N = 2 * HERMITIAN_SLAB_ROWS + 5   # the last slab holds 5 rows
+
+    @classmethod
+    def hermitian(cls, rng, count=None):
+        shape = (cls.N, cls.N) if count is None else (count, cls.N, cls.N)
+        raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return raw + raw.conj().swapaxes(-2, -1)
+
+    def test_a_hermitian_matrix_passes_and_is_returned(self):
+        matrix = self.hermitian(np.random.default_rng(61))
+        assert _checked_hermitian(matrix) is matrix
+
+    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian,
+                                       component_eig_values])
+    def test_asymmetry_seen_only_by_the_last_slab(self, solve):
+        # Entry and mirror both sit in the last slab's rows.
+        matrix = self.hermitian(np.random.default_rng(62))
+        matrix[-1, -2] += 1e-6
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            solve(matrix)
+
+    @pytest.mark.parametrize("solve", [eig_values, eig_hermitian,
+                                       component_eig_values])
+    @pytest.mark.parametrize("bad, at", [(np.nan, (-1, -2)), (np.inf, (-1, 0))],
+                             ids=["nan", "inf-facing-finite-mirror"])
+    def test_non_finite_entry_in_the_last_slab(self, solve, bad, at):
+        # The inf entry's finite mirror sits in the first slab, which reads
+        # the inf as a mirror; no difference is formed before the finiteness
+        # test, so no invalid-value warning either.
+        matrix = self.hermitian(np.random.default_rng(63))
+        matrix[at] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve(matrix)
+
+    def test_tolerance_reads_the_whole_matrix_scale(self):
+        # The largest entry sits in the last slab and excuses an asymmetry
+        # in the first slab that the first slab's own entries would not.
+        matrix = np.eye(self.N, dtype=complex)
+        matrix[-1, -1] = 1e6
+        matrix[0, 1] = 5e-5
+        _checked_hermitian(matrix)
+        matrix[0, 1] = 2e-4
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            _checked_hermitian(matrix)
+
+    def test_stack_is_checked_matrix_by_matrix(self):
+        stack = self.hermitian(np.random.default_rng(64), count=3)
+        stack[0] *= 1e6
+        _checked_hermitian(stack)
+        # Far below the largest entry of the stack, but not below that of
+        # the matrix it sits in.
+        stack[2, -1, -2] += 1e-7
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            _checked_hermitian(stack)
+        stack[2, -1, -2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            _checked_hermitian(stack)
+
+    def test_temporaries_stay_slab_sized(self):
+        n = 8 * HERMITIAN_SLAB_ROWS
+        raw = np.random.default_rng(65).normal(size=(n, n)).astype(complex)
+        matrix = raw + raw.T
+        tracemalloc.start()
+        try:
+            _checked_hermitian(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A whole-matrix pass holds two complex copies of the matrix; a
+        # slab pass holds a few slab-sized ones.
+        slab = HERMITIAN_SLAB_ROWS * n * matrix.itemsize
+        assert peak <= 3 * slab < matrix.nbytes / 2
 
 
 class TestComponentEigValues:

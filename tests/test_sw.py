@@ -6,7 +6,18 @@ from scipy.linalg import expm
 
 from hamlower import sw
 from hamlower.errors import DegeneracyError, RegimeError, ValidationError
-from hamlower.hubbard import HubbardModel, verify_exchange
+from hamlower.hubbard import (
+    HubbardModel,
+    half_filling_sector,
+    hopping_operator,
+    interaction_operator,
+    verify_exchange,
+)
+from hamlower.operators import (
+    component_indices,
+    realize_fermion,
+    singly_occupied_projector,
+)
 from hamlower.sw import (
     assemble_generator,
     effective_hamiltonian,
@@ -181,14 +192,14 @@ class TestLazyGenerator:
             self, order, solves, monkeypatch):
         # At order 2, h_eff's solve also gives X1; only X2 solves again.
         calls = []
-        solve = np.linalg.solve
+        solve = sw._centered_solve
 
         def counted(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
         h0, v = gapped_instance(np.random.default_rng(29))
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(sw, "_centered_solve", counted)
         result = effective_hamiltonian(h0, v, 0.05, order=order, threshold=0.5)
         result.generator
         assert len(calls) == solves
@@ -226,6 +237,62 @@ class TestLazyGenerator:
         v01 = low.conj().T @ v @ high
         want = h_low + eps * low.conj().T @ v @ low - eps ** 2 * v01 @ a @ v01.conj().T
         assert np.abs(result.h_eff - want).max() <= 1e-12
+
+
+def whole_block_solve(split, rhs):
+    """Reference for the per-component solve: one solve on the whole
+    centered high block."""
+    n = split.h0_high.shape[0]
+    return np.linalg.solve(split.h0_high - split.e_bar * np.eye(n), rhs)
+
+
+def six_ring_xyz():
+    """Coordinate split of the 6-site XYZ-field ring's 924-state sector."""
+    ring = HubbardModel(6, 1.0, 100.0, tuple((i, (i + 1) % 6) for i in range(6)),
+                        tuple((0.01 * (i % 3), -0.02 + 0.01 * i, 0.015 - 0.005 * i)
+                              for i in range(6)))
+    sector = half_filling_sector(ring)
+    h0 = realize_fermion(interaction_operator(ring), sector)
+    v = realize_fermion(hopping_operator(ring), sector).real
+    return h0, v, {"low_columns": singly_occupied_projector(sector, ring.sites)}
+
+
+class TestPerComponentSolve:
+    """The centered high block is solved one connected component at a time."""
+
+    @pytest.mark.parametrize("selector", ["6-ring-xyz", "threshold"])
+    def test_matches_one_whole_block_solve(self, selector, monkeypatch):
+        if selector == "threshold":
+            h0, v = gapped_instance(np.random.default_rng(53), dim=12, low_dim=4)
+            chosen, eps = {"threshold": 0.5}, 0.05
+        else:
+            h0, v, chosen = six_ring_xyz()
+            eps = 1.0
+        result = effective_hamiltonian(h0, v, eps, **chosen)
+        if selector == "6-ring-xyz":
+            # 860 high states in 140 components of at most 16.
+            groups = component_indices(result.split.h0_high)
+            assert sum(len(idx) for idx in groups) == 140
+            assert max(idx.shape[1] for idx in groups) == 16
+        monkeypatch.setattr(sw, "_centered_solve", whole_block_solve)
+        want = effective_hamiltonian(h0, v, eps, **chosen)
+        for got, ref in ((result.h_eff, want.h_eff),
+                         (result.generator, want.generator)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_real_block_and_complex_right_side(self):
+        # High components {0, 4}, {1, 2, 5} and {3}: several sizes, indices
+        # interleaved, and a complex right side on a real block.
+        h0 = np.diag([0.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+        h0[1, 5] = h0[5, 1] = 0.5
+        h0[2, 3] = h0[3, 2] = h0[3, 6] = h0[6, 3] = 0.25
+        split = split_blocks(h0, low_columns=np.eye(7)[:, :1])
+        assert [idx.shape for idx in component_indices(split.h0_high)] == [
+            (1, 1), (1, 2), (1, 3)]
+        rhs = np.arange(12.0).reshape(6, 2) * (1 - 0.5j)
+        got = sw._centered_solve(split, rhs)
+        assert got.dtype == complex
+        assert np.abs(got - whole_block_solve(split, rhs)).max() <= 1e-15
 
 
 class TestShiftInvariance:
