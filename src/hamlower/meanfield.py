@@ -134,14 +134,9 @@ class SecondQuantizedHamiltonian:
         if not np.isfinite(entries).all():
             raise ValidationError("non-finite coefficient in the two-body part")
         scale2 = max(1.0, float(np.abs(entries).max(initial=0.0)))
-        m = self.num_modes
-        i, j, k, l = np.unravel_index(self.two_body_index, (m,) * 4)
-        # The mirrors are looked up as sorted keys and compared with their
-        # entries in that order, which leaves the largest difference as is.
-        mirror = ((l * m + k) * m + j) * m + i
-        order = np.argsort(mirror)
-        difference = entries[order] - self._stored_at(mirror[order]).conj()
-        if np.abs(difference).max(initial=0.0) > HERMITICITY_ATOL * scale2:
+        i, j, k, l = np.unravel_index(self.two_body_index, (self.num_modes,) * 4)
+        mirror = self.two_body_at(l, k, j, i).conj()
+        if np.abs(entries - mirror).max(initial=0.0) > HERMITICITY_ATOL * scale2:
             raise ValidationError(
                 "two-body part violates w[i,j,k,l] == conj(w[l,k,j,i])")
 
@@ -153,11 +148,7 @@ class SecondQuantizedHamiltonian:
         """Coefficients ``w[i, j, k, l]`` at broadcast mode-index arrays,
         zero where no entry is stored."""
         m = self.num_modes
-        return self._stored_at(((np.asarray(i) * m + j) * m + k) * m + l)
-
-    def _stored_at(self, flat) -> np.ndarray:
-        """Coefficients at row-major flat indices, zero where none is
-        stored."""
+        flat = ((np.asarray(i) * m + j) * m + k) * m + l
         index = self.two_body_index
         if not index.size:
             return np.zeros(flat.shape, dtype=complex)

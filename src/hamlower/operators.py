@@ -382,20 +382,24 @@ def component_indices(matrix: np.ndarray) -> list:
             for size in np.unique(sizes)]
 
 
-def component_eig_values(matrix: np.ndarray) -> np.ndarray:
+def component_eig_values(matrix: np.ndarray, components=None) -> np.ndarray:
     """``eig_values`` of one matrix, solved per connected component.
 
-    After the same whole-matrix check, each component's principal block
-    (``component_indices``) is solved on its own; blocks of one size share
-    one stacked solve.  Each block keeps its indices in ascending order, so
-    it reads the same lower triangle that a whole solve reads.  The merged
-    values agree with ``eig_values`` to rounding, not bit for bit.
+    After the same whole-matrix check, each component's principal block is
+    solved on its own; blocks of one size share one stacked solve.  The
+    components are ``component_indices(matrix)``, labelled here unless the
+    caller passes the labelling it already holds.  Each block keeps its
+    indices in ascending order, so it reads the same lower triangle that a
+    whole solve reads.  The merged values agree with ``eig_values`` to
+    rounding, not bit for bit.
     """
     matrix = _checked_hermitian(matrix)
     if matrix.ndim != 2:
         raise ValidationError(f"expected one matrix, got shape {matrix.shape}")
+    if components is None:
+        components = component_indices(matrix)
     values = [np.linalg.eigvalsh(matrix[idx[:, :, None], idx[:, None, :]]).ravel()
-              for idx in component_indices(matrix)]
+              for idx in components]
     return np.sort(np.concatenate(values))
 
 

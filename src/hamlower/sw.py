@@ -15,7 +15,8 @@ The low block is picked one of two ways: every eigenvector of ``H0`` below
 an energy ``threshold``, or caller-supplied orthonormal ``low_columns``.
 Every block is taken in the split's own coordinates.  When the low columns
 are unit coordinate vectors the blocks are index slices; any other basis
-costs one rotation product.  Real inputs stay real throughout.
+costs one rotation product per block row.  Real inputs stay real
+throughout.
 
 ``split_blocks`` is the one split.  It runs one block-diagonality test on
 both paths: both off-diagonal blocks of ``h0`` must lie within
@@ -32,8 +33,9 @@ high block of a ``low_columns`` split (its minimum is the gap) and ``v``
 linear solves with the centered high block, the order-2 term's and both
 generator blocks', also run per connected component of the high block
 (``_centered_solve``), so no high-block-sized centered copy, identity or
-LU factor is made; the Hermiticity checks read large matrices in row
-slabs (``operators.HERMITIAN_SLAB_ROWS``).
+LU factor is made.  The split labels those components once
+(``BlockSplit.components``) for the gap and every solve.  The Hermiticity
+checks read large matrices in row slabs (``operators.HERMITIAN_SLAB_ROWS``).
 """
 
 from __future__ import annotations
@@ -69,9 +71,11 @@ class BlockSplit:
     and the diagonal blocks ``h0_low`` / ``h0_high`` are ``h0`` expressed on
     them: Hermitian, diagonal up to rounding on the threshold path (an
     eigenbasis), and in the caller's basis on the explicit-columns path, so
-    downstream elementwise comparisons stay meaningful.  ``rows`` is
-    ``(low_rows, high_rows)`` when both bases are unit coordinate vectors:
-    column ``c`` of ``low_projector`` is then coordinate ``low_rows[c]``.
+    downstream elementwise comparisons stay meaningful.  ``components`` is
+    ``component_indices(h0_high)``, labelled once by the split for the gap
+    and every centered solve.  ``rows`` is ``(low_rows, high_rows)`` when
+    both bases are unit coordinate vectors: column ``c`` of
+    ``low_projector`` is then coordinate ``low_rows[c]``.
     """
 
     low_projector: np.ndarray
@@ -81,6 +85,7 @@ class BlockSplit:
     gap: float
     e_bar: float
     spread: float
+    components: list
     rows: tuple | None = None
 
     @property
@@ -93,34 +98,37 @@ class BlockSplit:
         return _blocks(m, self.low_projector, self.high_projector, self.rows)
 
     def low_blocks(self, m):
-        """``m``'s (low-low, low-high) blocks alone, without the high-high
-        block that ``blocks`` also builds."""
-        if self.rows is not None:
-            lo, hi = self.rows
-            return m[np.ix_(lo, lo)], m[np.ix_(lo, hi)]
-        top = self.low_projector.conj().T @ m
-        return top @ self.low_projector, top @ self.high_projector
+        """``m``'s (low-low, low-high) blocks alone, without the bottom row
+        that ``blocks`` also builds."""
+        return _row_blocks(m, self.low_projector, self.high_projector,
+                           self.rows)
 
 
-def _blocks(m, low, high, rows):
-    """(low-low, low-high, high-low, high-high) blocks of ``m`` on the bases
-    ``low``, ``high``.
+def _row_blocks(m, own, other, rows):
+    """``m``'s blocks on the rows of basis ``own``: (own-own, own-other).
 
-    Coordinate bases (``rows`` given) are index slices; any other basis
-    takes one rotation product.
+    Coordinate bases (``rows``, own rows first) are index slices; any other
+    basis takes one rotation product ``(own^H m)`` and its two right
+    products.
     """
     if rows is not None:
-        lo, hi = rows
-        return (m[np.ix_(lo, lo)], m[np.ix_(lo, hi)], m[np.ix_(hi, lo)],
-                m[np.ix_(hi, hi)])
-    k = low.shape[1]
-    basis = np.hstack([low, high])
+        mine, theirs = rows
+        return m[np.ix_(mine, mine)], m[np.ix_(mine, theirs)]
     # A non-finite h0 entry in a cross block reaches this product unchecked
     # and spreads as NaN, which split_blocks' negated cross-block test
     # refuses right after.
     with np.errstate(invalid="ignore"):
-        rotated = basis.conj().T @ m @ basis
-    return rotated[:k, :k], rotated[:k, k:], rotated[k:, :k], rotated[k:, k:]
+        row = own.conj().T @ m
+        return row @ own, row @ other
+
+
+def _blocks(m, low, high, rows):
+    """(low-low, low-high, high-low, high-high) blocks of ``m`` on the bases
+    ``low``, ``high``: the low row, then the high row."""
+    low_low, low_high = _row_blocks(m, low, high, rows)
+    high_high, high_low = _row_blocks(m, high, low,
+                                      None if rows is None else rows[::-1])
+    return low_low, low_high, high_low, high_high
 
 
 def _block_stats(low_vals, high_vals):
@@ -194,11 +202,14 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
             raise DegeneracyError(f"no eigenvalue above threshold {t:g}")
         low, high, rows = spec.vectors[:, mask], spec.vectors[:, ~mask], None
         h0_low, cross, mirror, h0_high = _blocks(h0, low, high, rows)
+        components = component_indices(h0_high)
         low_vals, high_vals = spec.values[mask], spec.values[~mask]
     else:
         low, high, rows = _column_bases(low_columns, h0.shape[0])
         h0_low, cross, mirror, h0_high = _blocks(h0, low, high, rows)
-        low_vals, high_vals = eig_values(h0_low), component_eig_values(h0_high)
+        components = component_indices(h0_high)
+        low_vals = eig_values(h0_low)
+        high_vals = component_eig_values(h0_high, components)
     # The diagonal blocks passed their solves, so a non-finite entry of h0
     # sits in a cross block.  An inf one would excuse itself through the
     # scale, hence the finite scale; the test is negated so NaN fails too.
@@ -210,7 +221,8 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
             "h0 is not block diagonal across the split: the low columns do "
             "not span an invariant subspace")
     gap, e_bar, spread = _block_stats(low_vals, high_vals)
-    return BlockSplit(low, high, h0_low, h0_high, gap, e_bar, spread, rows)
+    return BlockSplit(low, high, h0_low, h0_high, gap, e_bar, spread,
+                      components, rows)
 
 
 @dataclass(frozen=True)
@@ -246,14 +258,14 @@ def _centered_solve(split, rhs):
     high block at a time.
 
     The centered high block is block diagonal in the components of
-    ``h0_high``'s nonzero pattern (``component_indices``), so each
+    ``h0_high``'s nonzero pattern (``split.components``), so each
     component's rows of ``rhs`` are solved against its principal block
     alone; components of one size share one stacked solve.  This serves
     the order-2 term and both generator blocks.
     """
     h = split.h0_high
     out = np.empty(rhs.shape, dtype=np.result_type(h, rhs))
-    for idx in component_indices(h):
+    for idx in split.components:
         block = h[idx[:, :, None], idx[:, None, :]]
         diagonal = np.arange(idx.shape[1])
         block[:, diagonal, diagonal] -= split.e_bar

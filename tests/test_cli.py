@@ -269,7 +269,8 @@ class TestHubbardCheck:
         path = tmp_path / "hub.txt"
         path.write_text(hubbard_to_text(model))
         _, split, _ = run(["hubbard-check", str(path)], capsys)
-        monkeypatch.setattr(sw, "component_eig_values", eig_values)
+        monkeypatch.setattr(sw, "component_eig_values",
+                            lambda matrix, *components: eig_values(matrix))
         _, whole, _ = run(["hubbard-check", str(path)], capsys)
         assert field(split, "result") == "pass"
         assert body_lines(split) == body_lines(whole)

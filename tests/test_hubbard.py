@@ -259,9 +259,9 @@ class TestVerifyExchange:
             return eigvalsh(matrix, *args, **kwargs)
 
         def counted(helper):
-            def solve(matrix):
+            def solve(matrix, *components):
                 blocks.clear()
-                values = helper(matrix)
+                values = helper(matrix, *components)
                 solves.append((helper.__name__, np.shape(matrix)[0], max(blocks)))
                 return values
             return solve

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hamlower import sw
+from hamlower import operators, sw
 from hamlower.errors import DegeneracyError, RegimeError, ValidationError
 from hamlower.hubbard import (
     HubbardModel,
@@ -13,11 +13,7 @@ from hamlower.hubbard import (
     interaction_operator,
     verify_exchange,
 )
-from hamlower.operators import (
-    component_indices,
-    realize_fermion,
-    singly_occupied_projector,
-)
+from hamlower.operators import realize_fermion, singly_occupied_projector
 from hamlower.sw import (
     assemble_generator,
     effective_hamiltonian,
@@ -271,7 +267,7 @@ class TestPerComponentSolve:
         result = effective_hamiltonian(h0, v, eps, **chosen)
         if selector == "6-ring-xyz":
             # 860 high states in 140 components of at most 16.
-            groups = component_indices(result.split.h0_high)
+            groups = result.split.components
             assert sum(len(idx) for idx in groups) == 140
             assert max(idx.shape[1] for idx in groups) == 16
         monkeypatch.setattr(sw, "_centered_solve", whole_block_solve)
@@ -280,19 +276,44 @@ class TestPerComponentSolve:
                          (result.generator, want.generator)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_real_block_and_complex_right_side(self):
+    @staticmethod
+    def mixed_components():
         # High components {0, 4}, {1, 2, 5} and {3}: several sizes, indices
-        # interleaved, and a complex right side on a real block.
+        # interleaved.
         h0 = np.diag([0.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
         h0[1, 5] = h0[5, 1] = 0.5
         h0[2, 3] = h0[3, 2] = h0[3, 6] = h0[6, 3] = 0.25
-        split = split_blocks(h0, low_columns=np.eye(7)[:, :1])
-        assert [idx.shape for idx in component_indices(split.h0_high)] == [
+        return h0, np.eye(7)[:, :1]
+
+    def test_real_block_and_complex_right_side(self):
+        # A complex right side on a real block.
+        h0, low = self.mixed_components()
+        split = split_blocks(h0, low_columns=low)
+        assert [idx.shape for idx in split.components] == [
             (1, 1), (1, 2), (1, 3)]
         rhs = np.arange(12.0).reshape(6, 2) * (1 - 0.5j)
         got = sw._centered_solve(split, rhs)
         assert got.dtype == complex
         assert np.abs(got - whole_block_solve(split, rhs)).max() <= 1e-15
+
+    def test_high_block_is_labelled_once(self, monkeypatch):
+        # The split labels the high block for the gap; the order-2 solve and
+        # both generator solves reuse that labelling.  v is labelled by its
+        # own norm solve.
+        labelled = []
+        label = operators.component_indices
+
+        def recorded(matrix):
+            labelled.append(matrix.shape[0])
+            return label(matrix)
+
+        for module in (operators, sw):
+            monkeypatch.setattr(module, "component_indices", recorded)
+        h0, low = self.mixed_components()
+        v = np.ones((7, 7))
+        result = effective_hamiltonian(h0, v, 0.01, low_columns=low)
+        result.generator
+        assert sorted(labelled) == [6, 7]
 
 
 class TestShiftInvariance:
