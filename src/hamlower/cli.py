@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import datetime
 import hashlib
+import stat
 import sys
 import time
 from pathlib import Path
@@ -97,6 +98,19 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _write_plan(path: str, text: str):
+    """Write ``text`` to ``path``.  A regular file with one link is unlinked
+    first, since a truncated and rewritten file can stall on close (ext4
+    flushes it) and a new one does not; the new file takes the umask's mode.
+    A symlink or a hard-linked file is written through, for every name."""
+    target = Path(path)
+    with contextlib.suppress(FileNotFoundError):
+        info = target.lstat()
+        if stat.S_ISREG(info.st_mode) and info.st_nlink == 1:
+            target.unlink()
+    target.write_text(text, encoding="utf-8")
+
+
 def cmd_compile(args) -> int:
     text = _read(args.input)
     report = Report("compile", text)
@@ -105,7 +119,7 @@ def cmd_compile(args) -> int:
     with report.timed("compile"):
         plan = compile(source, args.precision, safety=args.safety)
     with report.timed("write"):
-        Path(args.output).write_text(plan_to_text(plan), encoding="utf-8")
+        _write_plan(args.output, plan_to_text(plan))
     report.headers.append(f"# wrote {args.output}")
     report.add("precision", plan.target_precision)
     report.add("safety", plan.safety)

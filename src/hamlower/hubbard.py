@@ -214,14 +214,11 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     v = _real_if_real(realize_fermion(hopping_operator(model), sector))
     columns = singly_occupied_projector(sector, model.sites)
     result = sw.effective_hamiltonian(h0, v, 1.0, low_columns=columns)
-    h_eff, first_order = result.h_eff, result.split.low_blocks(v)[0]
-    # The result holds the split's high block and v; neither is read again,
-    # so it goes before the whole solve, and h0 + v is formed in h0.
-    del result
     closed = realize_spin(heisenberg_from_hubbard(model))
-    measured = float(np.abs(h_eff - closed).max())
+    measured = float(np.abs(result.h_eff - closed).max())
     if tolerance is None:
         tolerance = exchange_error_budget(model)
+    # The split holds copies of h0's blocks, so h0 + v is formed in h0.
     h0 += v
     del v
     exact = eig_values(h0)
@@ -231,7 +228,7 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     closed_split = 4 * model.t ** 2 / model.u
     return ExchangeReport(model, measured, float(tolerance),
                           bool(measured <= tolerance),
-                          float(np.abs(first_order).max()),
+                          float(np.abs(result.v00).max()),
                           derived, closed_split)
 
 

@@ -314,6 +314,21 @@ def _slab_max(matrix, entries):
                    for start in range(0, n, HERMITIAN_SLAB_ROWS)], axis=0)
 
 
+def _hermitian_verdict(largest):
+    """Raise unless the asymmetry ``largest(_largest_asymmetry)`` lies
+    within ``1e-10`` times the entry scale ``largest(_largest_entry)`` (at
+    least 1), each reduced over the matrices judged."""
+    scale = largest(_largest_entry)
+    # An inf entry facing a finite mirror leaves an inf difference that an
+    # inf scale would excuse, so finiteness is checked on its own, before
+    # any difference is formed.
+    if not np.isfinite(scale).all():
+        raise ValidationError("matrix has non-finite entries")
+    diff = largest(_largest_asymmetry)
+    if not (diff <= 1e-10 * np.maximum(1.0, scale)).all():
+        raise ValidationError("matrix is not Hermitian within tolerance")
+
+
 def _checked_hermitian(matrix) -> np.ndarray:
     """``matrix`` as an array, after checking it is square and Hermitian.
 
@@ -326,15 +341,7 @@ def _checked_hermitian(matrix) -> np.ndarray:
     matrix = np.asarray(matrix)
     if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
-    scale = _slab_max(matrix, _largest_entry)
-    # An inf entry facing a finite mirror leaves an inf difference that an
-    # inf scale would excuse, so finiteness is checked on its own, before
-    # any difference is formed.
-    if not np.isfinite(scale).all():
-        raise ValidationError("matrix has non-finite entries")
-    diff = _slab_max(matrix, _largest_asymmetry)
-    if not (diff <= 1e-10 * np.maximum(1.0, scale)).all():
-        raise ValidationError("matrix is not Hermitian within tolerance")
+    _hermitian_verdict(lambda entries: _slab_max(matrix, entries))
     return matrix
 
 
@@ -355,9 +362,10 @@ def component_indices(matrix: np.ndarray) -> list:
     symmetrized nonzero pattern, grouped by component size.
 
     Each group is a ``(count, size)`` array with one component per row,
-    its indices in ascending order, so the principal block
-    ``matrix[idx[:, :, None], idx[:, None, :]]`` of every component in a
-    group can be solved in one stacked call.  The matrix is not checked.
+    its indices in ascending order, so the principal blocks of a group's
+    components (``component_blocks``) can be solved in one stacked call.
+    A boolean pattern labels as its matrix would.  The matrix is not
+    checked.
     """
     pattern = matrix != 0
     pattern |= pattern.T
@@ -382,25 +390,42 @@ def component_indices(matrix: np.ndarray) -> list:
             for size in np.unique(sizes)]
 
 
-def component_eig_values(matrix: np.ndarray, components=None) -> np.ndarray:
-    """``eig_values`` of one matrix, solved per connected component.
+def component_blocks(matrix: np.ndarray, components) -> list:
+    """The principal blocks of ``matrix`` on each group of ``components``
+    (see ``component_indices``), one ``(count, size, size)`` stack per
+    group."""
+    return [matrix[idx[:, :, None], idx[:, None, :]] for idx in components]
 
-    After the same whole-matrix check, each component's principal block is
-    solved on its own; blocks of one size share one stacked solve.  The
-    components are ``component_indices(matrix)``, labelled here unless the
-    caller passes the labelling it already holds.  Each block keeps its
-    indices in ascending order, so it reads the same lower triangle that a
-    whole solve reads.  The merged values agree with ``eig_values`` to
+
+def stacked_eig_values(stacks) -> np.ndarray:
+    """Ascending eigenvalues of a matrix held as the ``component_blocks``
+    on its own ``component_indices``, so every entry outside them is zero.
+
+    The Hermiticity verdict judges the largest entry and asymmetry over all
+    stacks (in row slabs) once: the verdict of one whole-matrix pass.  Each
+    block keeps its indices in ascending order, so it reads the lower
+    triangle a whole solve reads; the values agree with ``eig_values`` to
     rounding, not bit for bit.
     """
-    matrix = _checked_hermitian(matrix)
+    _hermitian_verdict(lambda entries: np.max(
+        [_slab_max(stack, entries).max() for stack in stacks]))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel()
+                                   for stack in stacks]))
+
+
+def component_eig_values(matrix: np.ndarray) -> np.ndarray:
+    """``eig_values`` of one matrix, solved per connected component.
+
+    Blocks of one size share one stacked solve, and the Hermiticity check
+    reads those blocks alone (``stacked_eig_values``): the symmetrized
+    pattern puts every nonzero entry, and its mirror, in one component.
+    """
+    matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValidationError(f"expected one matrix, got shape {matrix.shape}")
-    if components is None:
-        components = component_indices(matrix)
-    values = [np.linalg.eigvalsh(matrix[idx[:, :, None], idx[:, None, :]]).ravel()
-              for idx in components]
-    return np.sort(np.concatenate(values))
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
+    return stacked_eig_values(component_blocks(matrix, component_indices(matrix)))
 
 
 def spin_components(h: SpinHamiltonian):

@@ -1,22 +1,24 @@
 """Schrieffer-Wolff block decoupling at first and second order.
 
 For ``H = H0 + eps * V`` with an isolated low block of ``H0``, build the
-effective Hamiltonian on that block together with the anti-Hermitian
-generator whose exponential rotates the coupling away to the same order:
+effective Hamiltonian on that block:
 
     h_eff = H0_low + eps * V00 - eps**2 * V01 (H0_high - Ebar)^-1 V10
 
 with ``Ebar`` the trace average of the low block.  When the low block is not
 exactly degenerate the centering on ``Ebar`` is an approximation; the spread
 of the low block is reported and a warning fires once it exceeds a tenth of
-the gap.  All formulas are invariant under a constant shift of ``H0``.
+the gap.  All formulas are invariant under a constant shift of ``H0``.  The
+anti-Hermitian generator whose exponential rotates the coupling away to the
+same order is not built: only the tests read it, as their oracle for
+``h_eff``.
 
 The low block is picked one of two ways: every eigenvector of ``H0`` below
 an energy ``threshold``, or caller-supplied orthonormal ``low_columns``.
-Every block is taken in the split's own coordinates.  When the low columns
-are unit coordinate vectors the blocks are index slices; any other basis
-costs one rotation product per block row.  Real inputs stay real
-throughout.
+Every block is taken in the split's own coordinates.  Low columns that are
+unit coordinate vectors give index slices and no dense complement; any other
+basis keeps its complement (eigenvectors or a QR factor) and costs one
+rotation product per block row.  Real inputs stay real throughout.
 
 ``split_blocks`` is the one split.  It runs one block-diagonality test on
 both paths: both off-diagonal blocks of ``h0`` must lie within
@@ -26,16 +28,16 @@ the eigendecomposition on the threshold path, and through its two diagonal
 blocks plus the cross-block test on the column path; ``v`` by its norm
 solve, before it is sliced.
 
-Values that only set a scale or guard the regime are solved one connected
-component of the nonzero pattern at a time (``component_eig_values``): the
-high block of a ``low_columns`` split (its minimum is the gap) and ``v``
-(its norm).  The low block, whose mean is ``Ebar``, is solved whole.  The
-linear solves with the centered high block, the order-2 term's and both
-generator blocks', also run per connected component of the high block
-(``_centered_solve``), so no high-block-sized centered copy, identity or
-LU factor is made.  The split labels those components once
-(``BlockSplit.components``) for the gap and every solve.  The Hermiticity
-checks read large matrices in row slabs (``operators.HERMITIAN_SLAB_ROWS``).
+The high block is kept only as the principal blocks of the connected
+components of its nonzero pattern, stacked by size (``BlockSplit.stacks``):
+gathered from ``h0`` itself on the coordinate path, which so forms no
+high-block-sized matrix, and from the rotated block, then dropped, on the
+others.  The gap of a ``low_columns`` split and the centered solve
+(``_centered_solve``) read the stacks, so no whole centered copy or LU
+factor is made.  ``v``'s norm is solved per component too; the low block, whose mean is
+``Ebar``, is solved whole.  Verdicts read from component stacks or from row
+slabs (``operators.HERMITIAN_SLAB_ROWS``) are those of one whole-matrix
+pass.
 """
 
 from __future__ import annotations
@@ -43,16 +45,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DegeneracyError, RegimeError, ValidationError
 from .operators import (
+    _largest_entry,
+    _slab_max,
+    component_blocks,
     component_eig_values,
     component_indices,
     eig_hermitian,
     eig_values,
+    stacked_eig_values,
 )
 
 # An eigenvalue this close (relative to the spectral scale) to the threshold
@@ -67,21 +72,24 @@ BLOCK_RTOL = 1e-10
 class BlockSplit:
     """Partition of a Hermitian matrix into a low block and its complement.
 
-    ``low_projector`` and ``high_projector`` are orthonormal column bases,
-    and the diagonal blocks ``h0_low`` / ``h0_high`` are ``h0`` expressed on
-    them: Hermitian, diagonal up to rounding on the threshold path (an
-    eigenbasis), and in the caller's basis on the explicit-columns path, so
-    downstream elementwise comparisons stay meaningful.  ``components`` is
-    ``component_indices(h0_high)``, labelled once by the split for the gap
-    and every centered solve.  ``rows`` is ``(low_rows, high_rows)`` when
-    both bases are unit coordinate vectors: column ``c`` of
-    ``low_projector`` is then coordinate ``low_rows[c]``.
+    ``low_projector`` is an orthonormal column basis of the low block and
+    ``h0_low`` is ``h0`` on it: diagonal up to rounding on the threshold
+    path (an eigenbasis), and in the caller's basis on the explicit-columns
+    path, so downstream elementwise comparisons stay meaningful.  ``rows``
+    is ``(low_rows, high_rows)`` when the low columns are unit coordinate
+    vectors: column ``c`` of ``low_projector`` is then coordinate
+    ``low_rows[c]``, the complement is the other coordinates in ascending
+    order, and ``high_projector`` is None.  Otherwise ``rows`` is None and
+    ``high_projector`` is an orthonormal basis of the complement.  The high
+    block is kept as ``stacks``, the principal blocks (``component_blocks``)
+    on its ``components`` (``component_indices``, in high-block
+    coordinates), labelled once for the gap and every centered solve.
     """
 
     low_projector: np.ndarray
-    high_projector: np.ndarray
+    high_projector: np.ndarray | None
     h0_low: np.ndarray
-    h0_high: np.ndarray
+    stacks: list
     gap: float
     e_bar: float
     spread: float
@@ -92,14 +100,8 @@ class BlockSplit:
     def low_dim(self) -> int:
         return self.low_projector.shape[1]
 
-    def blocks(self, m):
-        """``m``'s (low-low, low-high, high-low, high-high) blocks in this
-        split's basis."""
-        return _blocks(m, self.low_projector, self.high_projector, self.rows)
-
     def low_blocks(self, m):
-        """``m``'s (low-low, low-high) blocks alone, without the bottom row
-        that ``blocks`` also builds."""
+        """``m``'s (low-low, low-high) blocks in this split's basis."""
         return _row_blocks(m, self.low_projector, self.high_projector,
                            self.rows)
 
@@ -107,9 +109,9 @@ class BlockSplit:
 def _row_blocks(m, own, other, rows):
     """``m``'s blocks on the rows of basis ``own``: (own-own, own-other).
 
-    Coordinate bases (``rows``, own rows first) are index slices; any other
-    basis takes one rotation product ``(own^H m)`` and its two right
-    products.
+    Coordinate bases (``rows``, own rows first) are index slices, and
+    ``other`` is not read; any other basis takes one rotation product
+    ``(own^H m)`` and its two right products.
     """
     if rows is not None:
         mine, theirs = rows
@@ -120,15 +122,6 @@ def _row_blocks(m, own, other, rows):
     with np.errstate(invalid="ignore"):
         row = own.conj().T @ m
         return row @ own, row @ other
-
-
-def _blocks(m, low, high, rows):
-    """(low-low, low-high, high-low, high-high) blocks of ``m`` on the bases
-    ``low``, ``high``: the low row, then the high row."""
-    low_low, low_high = _row_blocks(m, low, high, rows)
-    high_high, high_low = _row_blocks(m, high, low,
-                                      None if rows is None else rows[::-1])
-    return low_low, low_high, high_low, high_high
 
 
 def _block_stats(low_vals, high_vals):
@@ -143,11 +136,11 @@ def _block_stats(low_vals, high_vals):
 def _column_bases(low_columns, dim):
     """``(low, high, rows)`` for caller-supplied orthonormal low columns.
 
-    When every column is a unit coordinate vector, ``high`` is the remaining
-    unit vectors in ascending order and ``rows`` their indices; otherwise
-    ``high`` is the last ``dim - k`` columns of a complete QR factor, which
-    span the complement because the ``k`` columns are orthonormal, and
-    ``rows`` is None.
+    When every column is a unit coordinate vector, ``high`` is None and
+    ``rows`` holds the low indices and the remaining ones in ascending
+    order; otherwise ``high`` is the last ``dim - k`` columns of a complete
+    QR factor, which span the complement because the ``k`` columns are
+    orthonormal, and ``rows`` is None.
     """
     low = np.asarray(low_columns)
     if low.ndim != 2 or low.shape[0] != dim:
@@ -162,10 +155,7 @@ def _column_bases(low_columns, dim):
     # distinct unit vectors; nonzero() on the transpose lists them by column.
     cols, low_rows = np.nonzero(low.T)
     if cols.size == k and np.all(low[low_rows, cols] == 1):
-        high_rows = np.setdiff1d(np.arange(dim), low_rows)
-        high = np.zeros((dim, dim - k))
-        high[high_rows, np.arange(dim - k)] = 1.0
-        return low, high, (low_rows, high_rows)
+        return low, None, (low_rows, np.setdiff1d(np.arange(dim), low_rows))
     return low, np.linalg.qr(low, mode="complete")[0][:, k:], None
 
 
@@ -178,7 +168,7 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
     columns are orthonormal and span an invariant subspace lying strictly
     below its complement; it needs the eigenvalues of the two diagonal
     blocks only.  The low block is solved whole; the high block, read only
-    for its minimum, is solved per connected component.  Both paths then
+    for its minimum, is solved from its component stacks.  Both paths then
     test that ``h0`` is block diagonal across the split.
     """
     if (threshold is None) == (low_columns is None):
@@ -201,19 +191,28 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
         if mask.all():
             raise DegeneracyError(f"no eigenvalue above threshold {t:g}")
         low, high, rows = spec.vectors[:, mask], spec.vectors[:, ~mask], None
-        h0_low, cross, mirror, h0_high = _blocks(h0, low, high, rows)
-        components = component_indices(h0_high)
-        low_vals, high_vals = spec.values[mask], spec.values[~mask]
     else:
         low, high, rows = _column_bases(low_columns, h0.shape[0])
-        h0_low, cross, mirror, h0_high = _blocks(h0, low, high, rows)
-        components = component_indices(h0_high)
-        low_vals = eig_values(h0_low)
-        high_vals = component_eig_values(h0_high, components)
+    h0_low, cross = _row_blocks(h0, low, high, rows)
+    if rows is None:
+        rotated_high, mirror = _row_blocks(h0, high, low, None)
+        components = component_indices(rotated_high)
+        stacks = component_blocks(rotated_high, components)
+    else:
+        low_rows, high_rows = rows
+        mirror = h0[np.ix_(high_rows, low_rows)]
+        # Labelled on the pattern and gathered from h0 itself: the high
+        # block is never formed.
+        components = component_indices((h0 != 0)[np.ix_(high_rows, high_rows)])
+        stacks = component_blocks(h0, [high_rows[idx] for idx in components])
+    if threshold is None:
+        low_vals, high_vals = eig_values(h0_low), stacked_eig_values(stacks)
+    else:
+        low_vals, high_vals = spec.values[mask], spec.values[~mask]
     # The diagonal blocks passed their solves, so a non-finite entry of h0
     # sits in a cross block.  An inf one would excuse itself through the
     # scale, hence the finite scale; the test is negated so NaN fails too.
-    scale = max(1.0, float(np.abs(h0).max()))
+    scale = max(1.0, float(_slab_max(h0, _largest_entry)))
     limit = BLOCK_RTOL * scale
     if not (math.isfinite(scale)
             and all(np.abs(b).max() <= limit for b in (cross, mirror))):
@@ -221,21 +220,18 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
             "h0 is not block diagonal across the split: the low columns do "
             "not span an invariant subspace")
     gap, e_bar, spread = _block_stats(low_vals, high_vals)
-    return BlockSplit(low, high, h0_low, h0_high, gap, e_bar, spread,
+    return BlockSplit(low, high, h0_low, stacks, gap, e_bar, spread,
                       components, rows)
 
 
 @dataclass(frozen=True)
 class SWResult:
-    """Effective block Hamiltonian plus the decoupling generator.
+    """Effective block Hamiltonian of a split.
 
-    ``h_eff`` lives on ``split.low_projector``; ``generator`` is the
-    full-dimension anti-Hermitian matrix S such that
-    exp(S) (H0 + eps V) exp(-S) has an off-diagonal block one order beyond
-    ``order``.  It is built on first access from ``v`` and, at order 2, the
-    solve ``z = (H_high - Ebar)^-1 V10``, since most callers read only
-    ``h_eff``.  ``error_budget`` is an order-of-magnitude certificate for
-    the eigenvalue error of ``h_eff``, not a rigorous bound.
+    ``h_eff`` lives on ``split.low_projector``, and ``v00`` is the
+    perturbation's low-low block (the first-order term) in the same basis.
+    ``error_budget`` is an order-of-magnitude certificate for the eigenvalue
+    error of ``h_eff``, not a rigorous bound.
     """
 
     split: BlockSplit
@@ -244,65 +240,25 @@ class SWResult:
     h_eff: np.ndarray
     v_norm: float
     error_budget: float
-    v: np.ndarray
-    z: np.ndarray | None
-
-    @cached_property
-    def generator(self) -> np.ndarray:
-        x1, x2 = _x_blocks(self.split, self.v, self.order, self.z)
-        return assemble_generator(self.split, x1, x2, self.epsilon)
+    v00: np.ndarray
 
 
 def _centered_solve(split, rhs):
     """``(H_high - Ebar)^-1 rhs``, solved one connected component of the
     high block at a time.
 
-    The centered high block is block diagonal in the components of
-    ``h0_high``'s nonzero pattern (``split.components``), so each
+    The centered high block is block diagonal in its components, so each
     component's rows of ``rhs`` are solved against its principal block
-    alone; components of one size share one stacked solve.  This serves
-    the order-2 term and both generator blocks.
+    alone; the components of one size share one stacked solve.  Ebar is
+    subtracted on a copy, so the split's stacks are never edited.
     """
-    h = split.h0_high
-    out = np.empty(rhs.shape, dtype=np.result_type(h, rhs))
-    for idx in split.components:
-        block = h[idx[:, :, None], idx[:, None, :]]
+    out = np.empty(rhs.shape, dtype=np.result_type(split.stacks[0], rhs))
+    for idx, stack in zip(split.components, split.stacks):
+        block = stack.copy()
         diagonal = np.arange(idx.shape[1])
         block[:, diagonal, diagonal] -= split.e_bar
         out[idx] = np.linalg.solve(block, rhs[idx])
     return out
-
-
-def _x_blocks(split, v, order, z=None):
-    """X1 = -V01 A and, at order 2, X2 = (V01 A V11 - (H0 + V00) V01 A) A.
-
-    ``A`` inverts the split's centered high block and ``H0`` is its
-    centered low block; X2 is zero at order 1.  X1 is ``-z^H`` for the
-    order-2 solve ``z = A V10`` that ``effective_hamiltonian`` makes for
-    ``h_eff``; it is solved here only when no ``z`` is given.  ``A`` is
-    Hermitian, so a right product with it is the adjoint of a solve.
-    """
-    v00, v01, _, v11 = split.blocks(v)
-    if z is None:
-        z = _centered_solve(split, v01.conj().T)
-    y = z.conj().T
-    if order == 1:
-        return -y, np.zeros_like(y)
-    h0c = split.h0_low - split.e_bar * np.eye(split.low_dim)
-    return -y, _centered_solve(split, (y @ v11 - (h0c + v00) @ y).conj().T).conj().T
-
-
-def assemble_generator(split: BlockSplit, x1, x2, epsilon) -> np.ndarray:
-    """Full anti-Hermitian generator eps*X1 + eps**2*X2 in the original basis."""
-    low, high = split.low_projector, split.high_projector
-    k = low.shape[1]
-    dim = low.shape[0]
-    x = epsilon * x1 + epsilon ** 2 * x2
-    s_block = np.zeros((dim, dim), dtype=complex)
-    s_block[:k, k:] = x
-    s_block[k:, :k] = -x.conj().T
-    basis = np.hstack([low, high])
-    return basis @ s_block @ basis.conj().T
 
 
 def effective_hamiltonian(h, v, epsilon, *, order=2, threshold=None,
@@ -339,14 +295,10 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, threshold=None,
             stacklevel=2)
     v00, v01 = split.low_blocks(v)
     h_eff = split.h0_low + epsilon * v00
-    z = None
     if order == 2:
-        z = _centered_solve(split, v01.conj().T)
-        h_eff = h_eff - epsilon ** 2 * (v01 @ z)
+        h_eff = h_eff - epsilon ** 2 * (v01 @ _centered_solve(split, v01.conj().T))
         error_budget = epsilon ** 3 * v_norm ** 3 / gap ** 2
     else:
         error_budget = epsilon ** 2 * v_norm ** 2 / gap
     h_eff = (h_eff + h_eff.conj().T) / 2
-    # The result keeps z, which is the generator's X1 up to sign, so a
-    # generator read later solves only for X2.
-    return SWResult(split, epsilon, order, h_eff, v_norm, error_budget, v, z)
+    return SWResult(split, epsilon, order, h_eff, v_norm, error_budget, v00)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import hamlower
 from hamlower import sw
@@ -100,6 +101,48 @@ class TestCompile:
             ["compile", str(src), "--precision", "0.5",
              "--output", str(tmp_path / "b.txt")], capsys)
         assert body_lines(first) == body_lines(second)
+
+    @staticmethod
+    def compile_onto(out, tmp_path, capsys, source=SOURCE_TEXT):
+        src = tmp_path / "src.txt"
+        src.write_text(source)
+        code, _, _ = run(["compile", str(src), "--precision", "0.5",
+                          "--output", str(out)], capsys)
+        assert code == 0
+        return Path(out).read_bytes()
+
+    def test_compiling_twice_onto_one_path_gives_the_same_bytes(
+            self, tmp_path, capsys):
+        # The first plan is longer, so a rewrite that left its tail would
+        # show.
+        out = tmp_path / "plan.txt"
+        longer = self.compile_onto(out, tmp_path, capsys,
+                                   SOURCE_TEXT + "0.25 Z@0 X@1\n")
+        first = self.compile_onto(out, tmp_path, capsys)
+        assert len(first) < len(longer)
+        assert self.compile_onto(out, tmp_path, capsys) == first
+        assert self.compile_onto(tmp_path / "fresh.txt", tmp_path,
+                                 capsys) == first
+
+    def test_compiling_onto_a_symlink_rewrites_its_target(self, tmp_path, capsys):
+        target = tmp_path / "target.txt"
+        target.write_text("old plan\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        plan = self.compile_onto(link, tmp_path, capsys)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == plan
+        assert plan == self.compile_onto(tmp_path / "fresh.txt", tmp_path, capsys)
+
+    def test_both_names_of_a_hard_linked_plan_see_the_new_plan(
+            self, tmp_path, capsys):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        first.write_text("old plan\n")
+        os.link(first, second)
+        plan = self.compile_onto(first, tmp_path, capsys)
+        assert second.read_bytes() == plan
+        assert os.stat(first).st_ino == os.stat(second).st_ino
+        assert plan == self.compile_onto(tmp_path / "fresh.txt", tmp_path, capsys)
 
     def test_every_stage_has_a_wall_line(self, tmp_path, capsys):
         src = tmp_path / "src.txt"
@@ -265,12 +308,15 @@ class TestHubbardCheck:
     def test_component_solves_keep_the_body(self, model, tmp_path, capsys,
                                             monkeypatch):
         # The per-component solves feed only the regime guard, the spread
-        # warning and the error budget, so no printed digit may move.
+        # warning and the error budget, so no printed digit may move.  The
+        # whole solve of the high block reads its stacks as one
+        # block-diagonal matrix.
         path = tmp_path / "hub.txt"
         path.write_text(hubbard_to_text(model))
         _, split, _ = run(["hubbard-check", str(path)], capsys)
-        monkeypatch.setattr(sw, "component_eig_values",
-                            lambda matrix, *components: eig_values(matrix))
+        monkeypatch.setattr(sw, "component_eig_values", eig_values)
+        monkeypatch.setattr(sw, "stacked_eig_values", lambda stacks: eig_values(
+            block_diag(*(block for stack in stacks for block in stack))))
         _, whole, _ = run(["hubbard-check", str(path)], capsys)
         assert field(split, "result") == "pass"
         assert body_lines(split) == body_lines(whole)

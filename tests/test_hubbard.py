@@ -1,5 +1,6 @@
 """Hubbard lattice construction, exchange physics, and serialization tests."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -33,13 +34,16 @@ from hamlower.operators import (
     FermionOperator,
     PauliTerm,
     SpinHamiltonian,
+    component_blocks,
     component_eig_values,
+    component_indices,
     default_site_modes,
     eig_hermitian,
     eig_values,
     jordan_map_spin_to_fermion,
     realize_fermion,
     realize_spin,
+    stacked_eig_values,
 )
 
 
@@ -258,11 +262,11 @@ class TestVerifyExchange:
             blocks.append(np.shape(matrix)[-1])
             return eigvalsh(matrix, *args, **kwargs)
 
-        def counted(helper):
-            def solve(matrix, *components):
+        def counted(helper, dim=lambda matrix: np.shape(matrix)[0]):
+            def solve(matrix):
                 blocks.clear()
-                values = helper(matrix, *components)
-                solves.append((helper.__name__, np.shape(matrix)[0], max(blocks)))
+                values = helper(matrix)
+                solves.append((helper.__name__, dim(matrix), max(blocks)))
                 return values
             return solve
 
@@ -271,6 +275,9 @@ class TestVerifyExchange:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", sized)
         monkeypatch.setattr(sw, "eig_values", counted(eig_values))
+        monkeypatch.setattr(sw, "stacked_eig_values", counted(
+            stacked_eig_values, lambda stacks: sum(s.shape[0] * s.shape[1]
+                                                   for s in stacks)))
         monkeypatch.setattr(sw, "component_eig_values",
                             counted(component_eig_values))
         monkeypatch.setattr(hubbard, "eig_values", counted(eig_values))
@@ -281,25 +288,40 @@ class TestVerifyExchange:
                             (0.03, 0.01, 0.0), (-0.02, 0.0, 0.01)))
         assert verify_exchange(xyz).passed
         # On the 70-state sector the low block and h0 + v are solved whole.
-        # The high block splits by site occupations (at most two singly
-        # occupied sites, so 4 spin states) and v by N-up (36 = 6 * 6).
+        # The high block, held as component stacks, splits by site
+        # occupations (at most two singly occupied sites, so 4 spin states)
+        # and v by N-up (36 = 6 * 6).
         assert solves == [("eig_values", 16, 16),
-                          ("component_eig_values", 54, 4),
+                          ("stacked_eig_values", 54, 4),
                           ("component_eig_values", 70, 36),
                           ("eig_values", 70, 70)]
 
     def test_each_input_is_checked_for_hermiticity_once(self, monkeypatch):
-        checked = []
-        original = operators._checked_hermitian
+        # Whole matrices go through _checked_hermitian, block-diagonal ones
+        # through their component stacks; each reaches one verdict.
+        checked, stacked, verdicts = [], [], []
+        whole, stacks = operators._checked_hermitian, operators.stacked_eig_values
+        verdict = operators._hermitian_verdict
 
         def recorded(matrix):
             checked.append(np.array(matrix))
-            return original(matrix)
+            return whole(matrix)
 
-        # Patched wherever the checker is bound, so a direct call counts too.
+        def recorded_stacks(blocks):
+            stacked.append([block.copy() for block in blocks])
+            return stacks(blocks)
+
+        def counted_verdict(largest):
+            verdicts.append(largest)
+            return verdict(largest)
+
+        # Patched wherever the checkers are bound, so a direct call counts too.
         for module in (operators, sw, hubbard):
-            if hasattr(module, "_checked_hermitian"):
-                monkeypatch.setattr(module, "_checked_hermitian", recorded)
+            for name, spy in (("_checked_hermitian", recorded),
+                              ("stacked_eig_values", recorded_stacks)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(operators, "_hermitian_verdict", counted_verdict)
         ring = BUILD_MODELS["ring"]
         xyz = HubbardModel(ring.sites, ring.t, ring.u, ring.edges,
                            ((0.01, 0.02, -0.03), (0.0, -0.01, 0.02),
@@ -317,9 +339,15 @@ class TestVerifyExchange:
         seen = {name: sum(m.shape == want.shape and np.array_equal(m, want)
                           for m in checked)
                 for name, want in inputs.items()}
-        assert seen == {"h0 low block": 1, "h0 high block": 1,
-                        "v": 1, "h0 + v": 1, "h0": 0}
-        assert len(checked) == 4
+        assert seen == {"h0 low block": 1, "h0 high block": 0,
+                        "v": 0, "h0 + v": 1, "h0": 0}
+        # The high block and v are checked through their components.
+        assert len(stacked) == 2
+        for blocks, matrix in zip(stacked, (inputs["h0 high block"], v)):
+            want = component_blocks(matrix, component_indices(matrix))
+            assert len(blocks) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(blocks, want))
+        assert len(checked) == 2 and len(verdicts) == 4
 
     @pytest.mark.parametrize("name", sorted(BUILD_MODELS))
     def test_split_keeps_hopping_real(self, name, monkeypatch):
@@ -336,10 +364,26 @@ class TestVerifyExchange:
         y_field = any(row[1] != 0.0 for row in model.fields)
         assert seen == [(y_field, False)]
 
-    def test_six_ring_peaks_below_four_sector_matrices(self):
-        # The 924-state sector's complex matrix takes 13.7 MB.  Whole-block
-        # SW solves, whole-matrix Hermiticity checks and a separate h0 + v
-        # held about 5.7 of them at once.
+    def test_six_ring_peaks_below_three_sector_matrices(self, monkeypatch):
+        # The 924-state sector's complex matrix takes 13.7 MB.  A dense
+        # complement, a dense high block and whole-matrix temporaries held
+        # about 3.5 of them at once; the hopping's complex realization, read
+        # once for its real copy, now sets the traced peak.
+        splits = []
+        split_blocks = sw.split_blocks
+
+        def kept(*args, **kwargs):
+            splits.append(split_blocks(*args, **kwargs))
+            return splits[-1]
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from arrays(item)
+
+        monkeypatch.setattr(sw, "split_blocks", kept)
         ring = HubbardModel(6, 1.0, 100.0, tuple((i, (i + 1) % 6) for i in range(6)),
                             tuple((0.01 * (i % 3), -0.02 + 0.01 * i, 0.015 - 0.005 * i)
                                   for i in range(6)))
@@ -351,7 +395,13 @@ class TestVerifyExchange:
         finally:
             tracemalloc.stop()
         assert dim == 924
-        assert peak < 4 * dim ** 2 * np.dtype(complex).itemsize
+        assert peak < 3 * dim ** 2 * np.dtype(complex).itemsize
+        # No array the split keeps is larger than its 924 x 64 low columns.
+        (split,) = splits
+        assert split.low_projector.shape == (924, 64)
+        held = [array for f in dataclasses.fields(split)
+                for array in arrays(getattr(split, f.name))]
+        assert max(array.nbytes for array in held) == split.low_projector.nbytes
 
 
 class TestSerialization:

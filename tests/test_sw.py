@@ -11,14 +11,9 @@ from hamlower.hubbard import (
     half_filling_sector,
     hopping_operator,
     interaction_operator,
-    verify_exchange,
 )
 from hamlower.operators import realize_fermion, singly_occupied_projector
-from hamlower.sw import (
-    assemble_generator,
-    effective_hamiltonian,
-    split_blocks,
-)
+from hamlower.sw import effective_hamiltonian, split_blocks
 
 
 def haar_unitary(dim, rng):
@@ -40,9 +35,58 @@ def gapped_instance(rng, dim=8, low_dim=3, gap=1.0):
     return h0, v
 
 
-def x_blocks(split, v):
-    """Second-order generator blocks (X1, X2) on the split's own blocks."""
-    return sw._x_blocks(split, v, 2)
+# The generator oracle.  The library builds h_eff alone; these tests build
+# the anti-Hermitian generator S from the same split and check h_eff against
+# it: exp(S) (H0 + eps V) exp(-S) is block diagonal one order beyond
+# ``order``, and its low block is h_eff to that order.
+
+
+def high_basis(split):
+    """The split's complement as columns: its basis, or the unit vectors of
+    its high rows."""
+    if split.rows is None:
+        return split.high_projector
+    return np.eye(split.low_projector.shape[0])[:, split.rows[1]]
+
+
+def x_blocks(split, v, order=2):
+    """X1 = -V01 A and, at order 2, X2 = (V01 A V11 - (H0 + V00) V01 A) A.
+
+    ``A`` inverts the split's centered high block and ``H0`` is its centered
+    low block; X2 is zero at order 1.  ``A`` is Hermitian, so a right
+    product with it is the adjoint of a solve.
+    """
+    low, high = split.low_projector, high_basis(split)
+    v00, v01, v11 = (a.conj().T @ v @ b
+                     for a, b in ((low, low), (low, high), (high, high)))
+    y = sw._centered_solve(split, v01.conj().T).conj().T
+    if order == 1:
+        return -y, np.zeros_like(y)
+    h0c = split.h0_low - split.e_bar * np.eye(split.low_dim)
+    return -y, sw._centered_solve(split, (y @ v11 - (h0c + v00) @ y).conj().T).conj().T
+
+
+def assemble_generator(split, x1, x2, epsilon):
+    """Full anti-Hermitian generator eps*X1 + eps**2*X2 in the original basis."""
+    basis = np.hstack([split.low_projector, high_basis(split)])
+    k = split.low_dim
+    x = epsilon * x1 + epsilon ** 2 * x2
+    s_block = np.zeros((len(basis), len(basis)), dtype=complex)
+    s_block[:k, k:] = x
+    s_block[k:, :k] = -x.conj().T
+    return basis @ s_block @ basis.conj().T
+
+
+def generator(result, v):
+    """The oracle generator at ``result``'s order and epsilon."""
+    x1, x2 = x_blocks(result.split, v, result.order)
+    return assemble_generator(result.split, x1, x2, result.epsilon)
+
+
+def rotated_hamiltonian(result, h0, v):
+    """exp(S) (H0 + eps V) exp(-S) with the oracle generator S."""
+    rot = expm(generator(result, v))
+    return rot @ (h0 + result.epsilon * v) @ rot.conj().T
 
 
 def low_error(h0, v, eps, low_dim, threshold):
@@ -143,50 +187,63 @@ class TestScaling:
                 assert err <= 5.0 * eps ** 3
 
     def test_generator_decouples_to_third_order(self):
+        # On the threshold, coordinate and rotated splits, each with an
+        # exactly degenerate low block: the rotated Hamiltonian's cross
+        # block and its low block's distance from h_eff are both third order.
         rng = np.random.default_rng(42)
         h0, v = gapped_instance(rng)
+        ch0, cv = coordinate_instance(rng, spread=0.0)
+        cols = np.eye(10)[:, [7, 2, 5, 0]]
+        cases = [(h0, v, {"threshold": 0.5}, False),
+                 (ch0, cv, {"low_columns": cols}, True),
+                 (ch0, cv, {"low_columns": 1j * cols}, False)]
+        for h0, v, chosen, sliced in cases:
+            def residuals(eps):
+                result = effective_hamiltonian(h0, v, eps, **chosen)
+                h_rot = rotated_hamiltonian(result, h0, v)
+                low = result.split.low_projector
+                high = high_basis(result.split)
+                return (float(np.abs(high.conj().T @ h_rot @ low).max()),
+                        float(np.abs(low.conj().T @ h_rot @ low
+                                     - result.h_eff).max()))
 
-        def residual(eps):
-            result = effective_hamiltonian(h0, v, eps, threshold=0.5)
-            h = h0 + eps * v
-            rot = expm(result.generator)
-            h_rot = rot @ h @ rot.conj().T
-            low = result.split.low_projector
-            high = result.split.high_projector
-            return float(np.abs(high.conj().T @ h_rot @ low).max())
-
-        r1, r2 = residual(0.05), residual(0.025)
-        assert 6.0 <= r1 / r2 <= 10.0
-        assert r1 < 30 * 0.05 ** 3
+            split = split_blocks(h0, **chosen)
+            assert (split.rows is not None) == sliced
+            for r1, r2 in zip(residuals(0.05), residuals(0.025)):
+                assert 6.0 <= r1 / r2 <= 10.0
+                assert r1 < 30 * 0.05 ** 3
 
     def test_generator_antihermitian(self):
         rng = np.random.default_rng(3)
         h0, v = gapped_instance(rng)
         result = effective_hamiltonian(h0, v, 0.05, threshold=0.5)
-        s = result.generator
+        s = generator(result, v)
         assert np.abs(s + s.conj().T).max() < 1e-12
-        x1, x2 = x_blocks(result.split, v)
-        rebuilt = assemble_generator(result.split, x1, x2, 0.05)
-        assert np.allclose(rebuilt, s, atol=1e-12)
 
 
 class TestLazyGenerator:
+    """The generator is built only on a test's demand, by the oracle."""
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_assembled_blocks(self, order):
+        # h_eff is the low block of the Hamiltonian rotated by the generator
+        # assembled at the same order, to one order beyond it.
         rng = np.random.default_rng(23)
         h0, v = gapped_instance(rng)
-        result = effective_hamiltonian(h0, v, 0.05, order=order, threshold=0.5)
-        x1, x2 = x_blocks(result.split, v)
-        if order == 1:
-            x2 = np.zeros_like(x2)
-        want = assemble_generator(result.split, x1, x2, 0.05)
-        assert np.allclose(result.generator, want, atol=1e-12)
-        assert result.generator is result.generator
 
-    @pytest.mark.parametrize("order, solves", [(1, 1), (2, 2)])
-    def test_one_centered_solve_serves_h_eff_and_generator(
-            self, order, solves, monkeypatch):
-        # At order 2, h_eff's solve also gives X1; only X2 solves again.
+        def deviation(eps):
+            result = effective_hamiltonian(h0, v, eps, order=order, threshold=0.5)
+            low = result.split.low_projector
+            return float(np.abs(low.conj().T @ rotated_hamiltonian(result, h0, v) @ low
+                                - result.h_eff).max())
+
+        ratio = deviation(0.05) / deviation(0.025)
+        assert 0.75 * 2 ** (order + 1) <= ratio <= 1.25 * 2 ** (order + 1)
+
+    @pytest.mark.parametrize("order, solves", [(1, 0), (2, 1)])
+    def test_one_centered_solve_serves_h_eff(self, order, solves, monkeypatch):
+        # Order 2 solves the centered high block once, order 1 not at all;
+        # the oracle's two generator blocks take one solve each.
         calls = []
         solve = sw._centered_solve
 
@@ -197,19 +254,10 @@ class TestLazyGenerator:
         h0, v = gapped_instance(np.random.default_rng(29))
         monkeypatch.setattr(sw, "_centered_solve", counted)
         result = effective_hamiltonian(h0, v, 0.05, order=order, threshold=0.5)
-        result.generator
         assert len(calls) == solves
         calls.clear()
         x_blocks(result.split, v)
         assert len(calls) == 2
-
-    def test_exchange_check_never_builds_it(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("generator assembled")
-
-        monkeypatch.setattr(sw, "assemble_generator", refuse)
-        ring = HubbardModel(4, 1.0, 100.0, ((0, 1), (1, 2), (2, 3), (3, 0)))
-        assert verify_exchange(ring).passed
 
     def test_columns_path_matches_inverse_projection(self):
         rng = np.random.default_rng(31)
@@ -235,11 +283,20 @@ class TestLazyGenerator:
         assert np.abs(result.h_eff - want).max() <= 1e-12
 
 
-def whole_block_solve(split, rhs):
+def high_block(split, h0):
+    """``h0`` on the split's complement: ``h0[np.ix_(high_rows, high_rows)]``
+    on a coordinate split."""
+    if split.rows is not None:
+        return h0[np.ix_(split.rows[1], split.rows[1])]
+    return split.high_projector.conj().T @ h0 @ split.high_projector
+
+
+def whole_block_solve(h_high):
     """Reference for the per-component solve: one solve on the whole
-    centered high block."""
-    n = split.h0_high.shape[0]
-    return np.linalg.solve(split.h0_high - split.e_bar * np.eye(n), rhs)
+    centered high block ``h_high``."""
+    def solve(split, rhs):
+        return np.linalg.solve(h_high - split.e_bar * np.eye(len(h_high)), rhs)
+    return solve
 
 
 def six_ring_xyz():
@@ -270,10 +327,12 @@ class TestPerComponentSolve:
             groups = result.split.components
             assert sum(len(idx) for idx in groups) == 140
             assert max(idx.shape[1] for idx in groups) == 16
-        monkeypatch.setattr(sw, "_centered_solve", whole_block_solve)
+        per_component = generator(result, v)
+        monkeypatch.setattr(sw, "_centered_solve",
+                            whole_block_solve(high_block(result.split, h0)))
         want = effective_hamiltonian(h0, v, eps, **chosen)
         for got, ref in ((result.h_eff, want.h_eff),
-                         (result.generator, want.generator)):
+                         (per_component, generator(want, v))):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @staticmethod
@@ -286,15 +345,21 @@ class TestPerComponentSolve:
         return h0, np.eye(7)[:, :1]
 
     def test_real_block_and_complex_right_side(self):
-        # A complex right side on a real block.
+        # A complex right side on a real block, whose nonzero Ebar is
+        # subtracted on a copy, never on the split's stacks.
         h0, low = self.mixed_components()
+        h0 += 0.5 * np.eye(7)
         split = split_blocks(h0, low_columns=low)
+        assert split.e_bar == 0.5
         assert [idx.shape for idx in split.components] == [
             (1, 1), (1, 2), (1, 3)]
         rhs = np.arange(12.0).reshape(6, 2) * (1 - 0.5j)
+        stacks = [stack.copy() for stack in split.stacks]
         got = sw._centered_solve(split, rhs)
         assert got.dtype == complex
-        assert np.abs(got - whole_block_solve(split, rhs)).max() <= 1e-15
+        want = whole_block_solve(high_block(split, h0))(split, rhs)
+        assert np.abs(got - want).max() <= 1e-15
+        assert all(np.array_equal(a, b) for a, b in zip(stacks, split.stacks))
 
     def test_high_block_is_labelled_once(self, monkeypatch):
         # The split labels the high block for the gap; the order-2 solve and
@@ -312,7 +377,7 @@ class TestPerComponentSolve:
         h0, low = self.mixed_components()
         v = np.ones((7, 7))
         result = effective_hamiltonian(h0, v, 0.01, low_columns=low)
-        result.generator
+        generator(result, v)
         assert sorted(labelled) == [6, 7]
 
 
@@ -329,7 +394,7 @@ class TestShiftInvariance:
         p_base = base.split.low_projector @ base.split.low_projector.conj().T
         p_shift = shifted.split.low_projector @ shifted.split.low_projector.conj().T
         assert np.allclose(p_base, p_shift, atol=1e-9)
-        assert np.allclose(base.generator, shifted.generator, atol=1e-9)
+        assert np.allclose(generator(base, v), generator(shifted, v), atol=1e-9)
 
 
 class TestBlockSelection:
@@ -422,14 +487,15 @@ class TestBlockSelection:
             split_blocks(h0, low_columns=cols)
 
 
-def coordinate_instance(rng, dim=10, low_rows=(7, 2, 5, 0)):
-    """Complex h0 whose low block sits on the coordinates ``low_rows``, and v."""
+def coordinate_instance(rng, dim=10, low_rows=(7, 2, 5, 0), spread=0.05):
+    """Complex h0 whose low block, of width ``spread``, sits on the
+    coordinates ``low_rows``, and v."""
     perm = list(low_rows) + [r for r in range(dim) if r not in low_rows]
     k = len(low_rows)
     u = np.zeros((dim, dim), dtype=complex)
     u[:k, :k] = haar_unitary(k, rng)
     u[k:, k:] = haar_unitary(dim - k, rng)
-    e = np.concatenate([rng.uniform(0.0, 0.05, k),
+    e = np.concatenate([rng.uniform(0.0, spread, k),
                         rng.uniform(2.0, 3.0, dim - k)])
     block = (u * e) @ u.conj().T
     h0 = np.empty_like(block)
@@ -473,7 +539,7 @@ class TestCoordinateSplit:
         sliced = effective_hamiltonian(h0, v, 0.05, low_columns=cols)
         rotated = effective_hamiltonian(h0, v, 0.05, low_columns=-cols)
         assert rotated.split.rows is None
-        assert np.abs(sliced.generator - rotated.generator).max() <= 1e-12
+        assert np.abs(generator(sliced, v) - generator(rotated, v)).max() <= 1e-12
 
     @pytest.mark.parametrize("selector", ["columns", "threshold"])
     def test_real_inputs_give_a_real_h_eff(self, selector):
@@ -484,8 +550,8 @@ class TestCoordinateSplit:
         chosen = {"columns": {"low_columns": np.eye(6)[:, :3]},
                   "threshold": {"threshold": 1.0}}[selector]
         result = effective_hamiltonian(h0, v, 0.05, **chosen)
-        assert result.h_eff.dtype == np.float64
-        assert result.split.h0_high.dtype == np.float64
+        assert result.h_eff.dtype == result.v00.dtype == np.float64
+        assert all(stack.dtype == np.float64 for stack in result.split.stacks)
 
     @pytest.mark.parametrize("defect", ["asymmetric", "nan", "inf"])
     @pytest.mark.parametrize("phase", [1.0, 1j], ids=["coordinate", "rotated"])
@@ -503,6 +569,47 @@ class TestCoordinateSplit:
                 effective_hamiltonian(h0, v, 0.1, low_columns=cols)
         split = split_blocks(np.diag([0.0, 0.0, 5.0, 7.0]), low_columns=cols)
         assert (split.rows is None) == (phase != 1.0)
+
+
+class TestHighBlockVerdict:
+    """The high block's Hermiticity verdict is read from its component
+    stacks but judged once, against the whole block's largest entry."""
+
+    @staticmethod
+    def two_scales():
+        # Low rows 0 and 5; high components {1, 3, 7} with entries near 1e3
+        # and {2, 4, 6, 8, 9} with entries near 1, indices interleaved.
+        h0 = np.zeros((10, 10), dtype=complex)
+        for rows, scale in (([1, 3, 7], 1e3), ([2, 4, 6, 8, 9], 1.0)):
+            block = scale * (2.0 * np.eye(len(rows)) + 0.3 * (1 + 1j))
+            h0[np.ix_(rows, rows)] = (block + block.conj().T) / 2
+        return h0, np.eye(10)[:, [0, 5]]
+
+    @pytest.mark.parametrize("defect, entry, refusal", [
+        (1e-9, (4, 8), None),
+        (1e-6, (4, 8), "matrix is not Hermitian within tolerance"),
+        (np.nan, (1, 7), "matrix has non-finite entries"),
+        (np.nan, (4, 8), "matrix has non-finite entries"),
+        (np.inf, (7, 3), "matrix has non-finite entries"),
+        (np.inf, (2, 9), "matrix has non-finite entries"),
+    ], ids=["asymmetry-1e-9", "asymmetry-1e-6", "nan-large", "nan-small",
+            "inf-large", "inf-small"])
+    def test_matches_the_whole_block_check(self, defect, entry, refusal):
+        h0, low = self.two_scales()
+        h0[entry] += defect
+        high = [1, 2, 3, 4, 6, 7, 8, 9]
+        try:
+            operators._checked_hermitian(h0[np.ix_(high, high)])
+            whole = None
+        except ValidationError as error:
+            whole = str(error)
+        assert whole == refusal
+        if refusal is None:
+            split = split_blocks(h0, low_columns=low)
+            assert [idx.shape for idx in split.components] == [(1, 3), (1, 5)]
+        else:
+            with pytest.raises(ValidationError, match=refusal):
+                split_blocks(h0, low_columns=low)
 
 
 class TestGuards:
