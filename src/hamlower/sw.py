@@ -34,10 +34,10 @@ gathered from ``h0`` itself on the coordinate path, which so forms no
 high-block-sized matrix, and from the rotated block, then dropped, on the
 others.  The gap of a ``low_columns`` split and the centered solve
 (``_centered_solve``) read the stacks, so no whole centered copy or LU
-factor is made.  ``v``'s norm is solved per component too; the low block, whose mean is
-``Ebar``, is solved whole.  Verdicts read from component stacks or from row
-slabs (``operators.HERMITIAN_SLAB_ROWS``) are those of one whole-matrix
-pass.
+factor is made.  ``v``'s norm is solved per component too; the low block,
+whose mean is ``Ebar``, is solved whole.  Verdicts read from component
+stacks or from row slabs (``operators.HERMITIAN_SLAB_ROWS``) are those of
+one whole-matrix pass.
 """
 
 from __future__ import annotations
@@ -254,10 +254,8 @@ def _centered_solve(split, rhs):
     """
     out = np.empty(rhs.shape, dtype=np.result_type(split.stacks[0], rhs))
     for idx, stack in zip(split.components, split.stacks):
-        block = stack.copy()
-        diagonal = np.arange(idx.shape[1])
-        block[:, diagonal, diagonal] -= split.e_bar
-        out[idx] = np.linalg.solve(block, rhs[idx])
+        out[idx] = np.linalg.solve(stack - split.e_bar * np.eye(idx.shape[1]),
+                                   rhs[idx])
     return out
 
 
