@@ -189,15 +189,6 @@ class ExchangeReport:
     splitting_closed_form: float
 
 
-def _real_if_real(matrix: np.ndarray) -> np.ndarray:
-    """A copy of ``matrix.real`` unless an imaginary part exceeds ``NEGLIGIBLE``.
-
-    Hopping is always real; only a Y field gives ``h0`` imaginary entries.
-    A copy, not the ``.real`` view, so that the complex matrix is freed.
-    """
-    return matrix if np.abs(matrix.imag).max() > NEGLIGIBLE else matrix.real.copy()
-
-
 def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     """Derive the half-filling effective model and compare to the closed form.
 
@@ -210,8 +201,8 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     """
     check_regime(model)
     sector = half_filling_sector(model)
-    h0 = _real_if_real(realize_fermion(interaction_operator(model), sector))
-    v = _real_if_real(realize_fermion(hopping_operator(model), sector))
+    h0 = realize_fermion(interaction_operator(model), sector)
+    v = realize_fermion(hopping_operator(model), sector)
     columns = singly_occupied_projector(sector, model.sites)
     result = sw.effective_hamiltonian(h0, v, 1.0, low_columns=columns)
     closed = realize_spin(heisenberg_from_hubbard(model))

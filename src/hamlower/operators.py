@@ -626,7 +626,8 @@ class FockSector:
 
 
 def realize_fermion(op: FermionOperator, sector: FockSector) -> np.ndarray:
-    """Matrix of ``op`` on the sector basis (complex; Hermitian iff op is).
+    """Matrix of ``op`` on the sector basis (Hermitian iff op is): float64
+    when every coefficient's imaginary part is exactly 0, complex otherwise.
 
     Each monomial acts on every sector state at once: operators apply right
     to left, a creation on an occupied mode or an annihilation on an empty
@@ -638,12 +639,15 @@ def realize_fermion(op: FermionOperator, sector: FockSector) -> np.ndarray:
             f"operator on {op.num_modes} modes, sector has {sector.num_modes}")
     dim = sector.dimension
     num_modes = sector.num_modes
-    out = np.zeros((dim, dim), dtype=complex)
+    real = not any(coeff.imag for coeff, _ in op.terms)
+    out = np.zeros((dim, dim), dtype=float if real else complex)
     cols = np.arange(dim)
     states = np.array(sector.states, dtype=np.int64)
     # sector.states is descending; searchsorted needs it ascending
     ascending = states[::-1]
     for coeff, mono in op.terms:
+        if real:
+            coeff = coeff.real
         if not mono:
             out[np.diag_indices(dim)] += coeff
             continue

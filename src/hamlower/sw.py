@@ -13,31 +13,30 @@ anti-Hermitian generator whose exponential rotates the coupling away to the
 same order is not built: only the tests read it, as their oracle for
 ``h_eff``.
 
-The low block is picked one of two ways: every eigenvector of ``H0`` below
-an energy ``threshold``, or caller-supplied orthonormal ``low_columns``.
-Every block is taken in the split's own coordinates.  Low columns that are
-unit coordinate vectors give index slices and no dense complement; any other
-basis keeps its complement (eigenvectors or a QR factor) and costs one
-rotation product per block row.  Real inputs stay real throughout.
+Each selector picks a basis, and every block is an index slice in it.
+``split_blocks`` turns its selector into a basis, the low indices, and
+``h0`` in that basis: unit coordinate ``low_columns`` keep the coordinate
+basis and ``h0`` as given; any other ``low_columns`` are followed by their
+QR complement; a ``threshold`` picks ``h0``'s eigenvectors, in which ``h0``
+is exactly diagonal.  One path then serves every selector: a block of ``m``
+is a slice of ``BlockSplit.rotated(m)``, such as V11 on (high, high).  Real
+inputs stay real throughout.
 
-``split_blocks`` is the one split.  It runs one block-diagonality test on
-both paths: both off-diagonal blocks of ``h0`` must lie within
-``BLOCK_RTOL`` times the largest |entry| of ``h0`` (at least 1).  Each input
-is checked for Hermiticity once, by the solve that reads it: ``h0`` whole by
-the eigendecomposition on the threshold path, and through its two diagonal
-blocks plus the cross-block test on the column path; ``v`` by its norm
-solve, before it is sliced.
+The split runs one block-diagonality test: both off-diagonal slices of
+``h0`` in its basis must lie within ``BLOCK_RTOL`` times the largest |entry|
+of the given ``h0`` (at least 1).  Each input is checked for Hermiticity once, by the
+solve that reads it: ``h0`` through its two diagonal slices plus that test
+(a threshold split's eigendecomposition checks it whole first); ``v`` by its
+norm solve, before it is rotated or sliced.
 
 The high block is kept only as the principal blocks of the connected
-components of its nonzero pattern, stacked by size (``BlockSplit.stacks``):
-gathered from ``h0`` itself on the coordinate path, which so forms no
-high-block-sized matrix, and from the rotated block, then dropped, on the
-others.  The gap of a ``low_columns`` split and the centered solve
-(``_centered_solve``) read the stacks, so no whole centered copy or LU
-factor is made.  ``v``'s norm is solved per component too; the low block,
-whose mean is ``Ebar``, is solved whole.  Verdicts read from component
-stacks or from row slabs (``operators.HERMITIAN_SLAB_ROWS``) are those of
-one whole-matrix pass.
+components of its nonzero pattern, stacked by size (``BlockSplit.stacks``)
+and gathered straight from ``h0`` in the split's basis, so the high block
+itself is never formed; a threshold split's components are all 1 x 1.  The gap and the centered solve (``_centered_solve``) read the
+stacks, so no whole centered copy or LU factor is made.  ``v``'s norm is
+solved per component too; the low block, whose mean is ``Ebar``, is solved
+whole.  Verdicts read from component stacks or from row slabs
+(``operators.HERMITIAN_SLAB_ROWS``) are those of one whole-matrix pass.
 """
 
 from __future__ import annotations
@@ -72,56 +71,38 @@ BLOCK_RTOL = 1e-10
 class BlockSplit:
     """Partition of a Hermitian matrix into a low block and its complement.
 
-    ``low_projector`` is an orthonormal column basis of the low block and
-    ``h0_low`` is ``h0`` on it: diagonal up to rounding on the threshold
-    path (an eigenbasis), and in the caller's basis on the explicit-columns
-    path, so downstream elementwise comparisons stay meaningful.  ``rows``
-    is ``(low_rows, high_rows)`` when the low columns are unit coordinate
-    vectors: column ``c`` of ``low_projector`` is then coordinate
-    ``low_rows[c]``, the complement is the other coordinates in ascending
-    order, and ``high_projector`` is None.  Otherwise ``rows`` is None and
-    ``high_projector`` is an orthonormal basis of the complement.  The high
-    block is kept as ``stacks``, the principal blocks (``component_blocks``)
-    on its ``components`` (``component_indices``, in high-block
-    coordinates), labelled once for the gap and every centered solve.
+    The split is taken in the unitary ``basis``, or in the coordinate basis
+    when ``basis`` is None; ``low`` and ``high`` index its columns, and
+    every block of a matrix ``m`` is an index slice of ``rotated(m)``, such
+    as ``rotated(m)[np.ix_(high, high)]`` for its high-high block.  ``low``
+    keeps the caller's column order and ``high`` ascends.  ``h0_low`` is
+    ``h0`` on (low, low): exactly diagonal for a threshold split and in the
+    caller's columns otherwise, so downstream elementwise comparisons stay
+    meaningful.  The high block is kept as ``stacks``, the principal blocks
+    (``component_blocks``) on its ``components`` (``component_indices``, in
+    positions of ``high``), labelled once for the gap and every centered
+    solve.
     """
 
-    low_projector: np.ndarray
-    high_projector: np.ndarray | None
+    basis: np.ndarray | None
+    low: np.ndarray
+    high: np.ndarray
     h0_low: np.ndarray
     stacks: list
     gap: float
     e_bar: float
     spread: float
     components: list
-    rows: tuple | None = None
 
     @property
     def low_dim(self) -> int:
-        return self.low_projector.shape[1]
+        return self.low.size
 
-    def low_blocks(self, m):
-        """``m``'s (low-low, low-high) blocks in this split's basis."""
-        return _row_blocks(m, self.low_projector, self.high_projector,
-                           self.rows)
-
-
-def _row_blocks(m, own, other, rows):
-    """``m``'s blocks on the rows of basis ``own``: (own-own, own-other).
-
-    Coordinate bases (``rows``, own rows first) are index slices, and
-    ``other`` is not read; any other basis takes one rotation product
-    ``(own^H m)`` and its two right products.
-    """
-    if rows is not None:
-        mine, theirs = rows
-        return m[np.ix_(mine, mine)], m[np.ix_(mine, theirs)]
-    # A non-finite h0 entry in a cross block reaches this product unchecked
-    # and spreads as NaN, which split_blocks' negated cross-block test
-    # refuses right after.
-    with np.errstate(invalid="ignore"):
-        row = own.conj().T @ m
-        return row @ own, row @ other
+    def rotated(self, m):
+        """``m`` in this split's basis: ``basis^H m basis``, or ``m`` itself."""
+        if self.basis is None:
+            return m
+        return self.basis.conj().T @ m @ self.basis
 
 
 def _block_stats(low_vals, high_vals):
@@ -133,15 +114,36 @@ def _block_stats(low_vals, high_vals):
     return gap, e_bar, spread
 
 
-def _column_bases(low_columns, dim):
-    """``(low, high, rows)`` for caller-supplied orthonormal low columns.
+def _eigen_basis(h0, threshold):
+    """``(basis, low, h)`` for an energy threshold: ``h0``'s eigenvectors,
+    those below ``threshold``, and ``h0`` in that basis, its eigenvalues
+    on the diagonal."""
+    spec = eig_hermitian(h0)
+    scale = max(1.0, float(np.abs(spec.values).max()))
+    t = float(threshold)
+    if not math.isfinite(t):
+        raise ValidationError(f"threshold must be finite, got {threshold!r}")
+    if np.any(np.abs(spec.values - t) <= DEGENERACY_RTOL * scale):
+        raise DegeneracyError(
+            f"threshold {t:g} cuts through a (near-)degenerate multiplet")
+    mask = spec.values < t
+    if not mask.any():
+        raise DegeneracyError(f"no eigenvalue below threshold {t:g}")
+    if mask.all():
+        raise DegeneracyError(f"no eigenvalue above threshold {t:g}")
+    return spec.vectors, np.flatnonzero(mask), np.diag(spec.values)
 
-    When every column is a unit coordinate vector, ``high`` is None and
-    ``rows`` holds the low indices and the remaining ones in ascending
-    order; otherwise ``high`` is the last ``dim - k`` columns of a complete
+
+def _column_basis(h0, low_columns):
+    """``(basis, low, h)`` for caller-supplied orthonormal low columns.
+
+    Unit coordinate vectors keep the coordinate basis: ``basis`` is None,
+    ``low`` lists their rows in column order and ``h`` is ``h0``.  Any other
+    ``k`` columns are followed by the last ``dim - k`` columns of a complete
     QR factor, which span the complement because the ``k`` columns are
-    orthonormal, and ``rows`` is None.
+    orthonormal, and ``h`` is ``h0`` rotated into that basis.
     """
+    dim = h0.shape[0]
     low = np.asarray(low_columns)
     if low.ndim != 2 or low.shape[0] != dim:
         raise ValidationError(
@@ -155,8 +157,13 @@ def _column_bases(low_columns, dim):
     # distinct unit vectors; nonzero() on the transpose lists them by column.
     cols, low_rows = np.nonzero(low.T)
     if cols.size == k and np.all(low[low_rows, cols] == 1):
-        return low, None, (low_rows, np.setdiff1d(np.arange(dim), low_rows))
-    return low, np.linalg.qr(low, mode="complete")[0][:, k:], None
+        return None, low_rows, h0
+    basis = np.linalg.qr(low, mode="complete")[0]
+    basis[:, :k] = low
+    # A non-finite h0 entry spreads as NaN through this product, which
+    # split_blocks' solves and its negated cross-block test refuse.
+    with np.errstate(invalid="ignore"):
+        return basis, np.arange(k), basis.conj().T @ h0 @ basis
 
 
 def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
@@ -165,11 +172,10 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
     The threshold path takes every eigenvector with eigenvalue below
     ``threshold`` and refuses to cut within ``DEGENERACY_RTOL`` (relative to
     the spectral scale) of any eigenvalue.  The column path checks the given
-    columns are orthonormal and span an invariant subspace lying strictly
-    below its complement; it needs the eigenvalues of the two diagonal
-    blocks only.  The low block is solved whole; the high block, read only
-    for its minimum, is solved from its component stacks.  Both paths then
-    test that ``h0`` is block diagonal across the split.
+    columns are orthonormal.  Either way the low block is solved whole and
+    the high block from its component stacks, the low block must lie
+    strictly below the high one, and ``h0`` must be block diagonal across
+    the split.
     """
     if (threshold is None) == (low_columns is None):
         raise ValidationError("pass exactly one of threshold or low_columns")
@@ -177,58 +183,37 @@ def split_blocks(h0, *, threshold=None, low_columns=None) -> BlockSplit:
     if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
         raise ValidationError(f"h0 must be one square matrix, got shape {h0.shape}")
     if threshold is not None:
-        spec = eig_hermitian(h0)
-        scale = max(1.0, float(np.abs(spec.values).max()))
-        t = float(threshold)
-        if not math.isfinite(t):
-            raise ValidationError(f"threshold must be finite, got {threshold!r}")
-        if np.any(np.abs(spec.values - t) <= DEGENERACY_RTOL * scale):
-            raise DegeneracyError(
-                f"threshold {t:g} cuts through a (near-)degenerate multiplet")
-        mask = spec.values < t
-        if not mask.any():
-            raise DegeneracyError(f"no eigenvalue below threshold {t:g}")
-        if mask.all():
-            raise DegeneracyError(f"no eigenvalue above threshold {t:g}")
-        low, high, rows = spec.vectors[:, mask], spec.vectors[:, ~mask], None
+        basis, low, h = _eigen_basis(h0, threshold)
     else:
-        low, high, rows = _column_bases(low_columns, h0.shape[0])
-    h0_low, cross = _row_blocks(h0, low, high, rows)
-    if rows is None:
-        rotated_high, mirror = _row_blocks(h0, high, low, None)
-        components = component_indices(rotated_high)
-        stacks = component_blocks(rotated_high, components)
-    else:
-        low_rows, high_rows = rows
-        mirror = h0[np.ix_(high_rows, low_rows)]
-        # Labelled on the pattern and gathered from h0 itself: the high
-        # block is never formed.
-        components = component_indices((h0 != 0)[np.ix_(high_rows, high_rows)])
-        stacks = component_blocks(h0, [high_rows[idx] for idx in components])
-    if threshold is None:
-        low_vals, high_vals = eig_values(h0_low), stacked_eig_values(stacks)
-    else:
-        low_vals, high_vals = spec.values[mask], spec.values[~mask]
+        basis, low, h = _column_basis(h0, low_columns)
+    high = np.setdiff1d(np.arange(h.shape[0]), low)
+    h0_low = h[np.ix_(low, low)]
+    # Labelled on the pattern and gathered from h itself: the high block is
+    # never formed.
+    components = component_indices((h != 0)[np.ix_(high, high)])
+    stacks = component_blocks(h, [high[idx] for idx in components])
+    low_vals, high_vals = eig_values(h0_low), stacked_eig_values(stacks)
     # The diagonal blocks passed their solves, so a non-finite entry of h0
     # sits in a cross block.  An inf one would excuse itself through the
     # scale, hence the finite scale; the test is negated so NaN fails too.
     scale = max(1.0, float(_slab_max(h0, _largest_entry)))
     limit = BLOCK_RTOL * scale
     if not (math.isfinite(scale)
-            and all(np.abs(b).max() <= limit for b in (cross, mirror))):
+            and all(np.abs(h[np.ix_(rows, cols)]).max() <= limit
+                    for rows, cols in ((low, high), (high, low)))):
         raise ValidationError(
             "h0 is not block diagonal across the split: the low columns do "
             "not span an invariant subspace")
     gap, e_bar, spread = _block_stats(low_vals, high_vals)
-    return BlockSplit(low, high, h0_low, stacks, gap, e_bar, spread,
-                      components, rows)
+    return BlockSplit(basis, low, high, h0_low, stacks, gap, e_bar, spread,
+                      components)
 
 
 @dataclass(frozen=True)
 class SWResult:
     """Effective block Hamiltonian of a split.
 
-    ``h_eff`` lives on ``split.low_projector``, and ``v00`` is the
+    ``h_eff`` lives on the split's low columns, and ``v00`` is the
     perturbation's low-low block (the first-order term) in the same basis.
     ``error_budget`` is an order-of-magnitude certificate for the eigenvalue
     error of ``h_eff``, not a rigorous bound.
@@ -275,12 +260,11 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, threshold=None,
         raise ValidationError(f"order must be 1 or 2, got {order!r}")
     split = split_blocks(h, threshold=threshold, low_columns=low_columns)
     v = np.asarray(v)
-    dim = split.low_projector.shape[0]
-    if v.shape != (dim, dim):
-        raise ValidationError(f"v shape {v.shape} does not match h {(dim, dim)}")
+    if v.shape != np.shape(h):
+        raise ValidationError(f"v shape {v.shape} does not match h {np.shape(h)}")
     gap, spread = split.gap, split.spread
     # v is Hermitian, so its spectral norm is its largest |eigenvalue|; this
-    # solve is v's one Hermiticity check, made before v is sliced.
+    # solve is v's one Hermiticity check, made before v is rotated.
     v_norm = float(np.abs(component_eig_values(v)).max())
     if epsilon * v_norm >= gap / 2:
         raise RegimeError(
@@ -291,7 +275,8 @@ def effective_hamiltonian(h, v, epsilon, *, order=2, threshold=None,
             f"low-block spread {spread:.3g} exceeds gap/10 = {gap / 10:.3g}; "
             "second-order accuracy degrades",
             stacklevel=2)
-    v00, v01 = split.low_blocks(v)
+    rotated, low = split.rotated(v), split.low
+    v00, v01 = rotated[np.ix_(low, low)], rotated[np.ix_(low, split.high)]
     h_eff = split.h0_low + epsilon * v00
     if order == 2:
         h_eff = h_eff - epsilon ** 2 * (v01 @ _centered_solve(split, v01.conj().T))

@@ -364,11 +364,12 @@ class TestVerifyExchange:
         y_field = any(row[1] != 0.0 for row in model.fields)
         assert seen == [(y_field, False)]
 
-    def test_six_ring_peaks_below_three_sector_matrices(self, monkeypatch):
+    def test_six_ring_peaks_below_two_sector_matrices(self, monkeypatch):
         # The 924-state sector's complex matrix takes 13.7 MB.  A dense
-        # complement, a dense high block and whole-matrix temporaries held
-        # about 3.5 of them at once; the hopping's complex realization, read
-        # once for its real copy, now sets the traced peak.
+        # complement, a dense high block and whole-matrix temporaries once
+        # held about 3.5 of them at once, and a complex realization of the
+        # hopping, copied to real, 2.5.  Complex h0, the real hopping and
+        # the whole solve of h0 + v now set the traced peak.
         splits = []
         split_blocks = sw.split_blocks
 
@@ -395,13 +396,14 @@ class TestVerifyExchange:
         finally:
             tracemalloc.stop()
         assert dim == 924
-        assert peak < 3 * dim ** 2 * np.dtype(complex).itemsize
-        # No array the split keeps is larger than its 924 x 64 low columns.
+        assert peak < 2 * dim ** 2 * np.dtype(complex).itemsize
+        # The coordinate split keeps no basis, and no array as large as the
+        # 924 x 64 low columns it was given.
         (split,) = splits
-        assert split.low_projector.shape == (924, 64)
+        assert split.basis is None and split.low.shape == (64,)
         held = [array for f in dataclasses.fields(split)
                 for array in arrays(getattr(split, f.name))]
-        assert max(array.nbytes for array in held) == split.low_projector.nbytes
+        assert max(array.nbytes for array in held) < dim * 64 * np.dtype(float).itemsize
 
 
 class TestSerialization:

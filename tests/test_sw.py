@@ -41,23 +41,16 @@ def gapped_instance(rng, dim=8, low_dim=3, gap=1.0):
 # ``order``, and its low block is h_eff to that order.
 
 
-def high_basis(split):
-    """The split's complement as columns: its basis, or the unit vectors of
-    its high rows."""
-    if split.rows is None:
-        return split.high_projector
-    return np.eye(split.low_projector.shape[0])[:, split.rows[1]]
-
-
 def x_blocks(split, v, order=2):
     """X1 = -V01 A and, at order 2, X2 = (V01 A V11 - (H0 + V00) V01 A) A.
 
     ``A`` inverts the split's centered high block and ``H0`` is its centered
     low block; X2 is zero at order 1.  ``A`` is Hermitian, so a right
-    product with it is the adjoint of a solve.
+    product with it is the adjoint of a solve.  Every V block is a slice of
+    ``split.rotated(v)``.
     """
-    low, high = split.low_projector, high_basis(split)
-    v00, v01, v11 = (a.conj().T @ v @ b
+    low, high, rotated = split.low, split.high, split.rotated(v)
+    v00, v01, v11 = (rotated[np.ix_(a, b)]
                      for a, b in ((low, low), (low, high), (high, high)))
     y = sw._centered_solve(split, v01.conj().T).conj().T
     if order == 1:
@@ -68,13 +61,14 @@ def x_blocks(split, v, order=2):
 
 def assemble_generator(split, x1, x2, epsilon):
     """Full anti-Hermitian generator eps*X1 + eps**2*X2 in the original basis."""
-    basis = np.hstack([split.low_projector, high_basis(split)])
-    k = split.low_dim
+    low, high = split.low, split.high
     x = epsilon * x1 + epsilon ** 2 * x2
-    s_block = np.zeros((len(basis), len(basis)), dtype=complex)
-    s_block[:k, k:] = x
-    s_block[k:, :k] = -x.conj().T
-    return basis @ s_block @ basis.conj().T
+    s_block = np.zeros((low.size + high.size,) * 2, dtype=complex)
+    s_block[np.ix_(low, high)] = x
+    s_block[np.ix_(high, low)] = -x.conj().T
+    if split.basis is None:
+        return s_block
+    return split.basis @ s_block @ split.basis.conj().T
 
 
 def generator(result, v):
@@ -141,9 +135,10 @@ class TestClosedForm:
         split = split_blocks(h0, threshold=1.0)
         _, x2 = x_blocks(split, v)
         a = np.diag([1.0 / 3.0, 1.0 / 4.0])
-        v01 = split.low_projector.conj().T @ v @ split.high_projector
-        v00 = split.low_projector.conj().T @ v @ split.low_projector
-        v11 = split.high_projector.conj().T @ v @ split.high_projector
+        low, high, rotated = split.low, split.high, split.rotated(v)
+        v01 = rotated[np.ix_(low, high)]
+        v00 = rotated[np.ix_(low, low)]
+        v11 = rotated[np.ix_(high, high)]
         want = v01 @ a @ v11 @ a - v00 @ v01 @ a @ a
         assert np.allclose(x2, want, atol=1e-12)
 
@@ -200,15 +195,15 @@ class TestScaling:
         for h0, v, chosen, sliced in cases:
             def residuals(eps):
                 result = effective_hamiltonian(h0, v, eps, **chosen)
-                h_rot = rotated_hamiltonian(result, h0, v)
-                low = result.split.low_projector
-                high = high_basis(result.split)
-                return (float(np.abs(high.conj().T @ h_rot @ low).max()),
-                        float(np.abs(low.conj().T @ h_rot @ low
+                split = result.split
+                h_rot = split.rotated(rotated_hamiltonian(result, h0, v))
+                low, high = split.low, split.high
+                return (float(np.abs(h_rot[np.ix_(high, low)]).max()),
+                        float(np.abs(h_rot[np.ix_(low, low)]
                                      - result.h_eff).max()))
 
             split = split_blocks(h0, **chosen)
-            assert (split.rows is not None) == sliced
+            assert (split.basis is None) == sliced
             for r1, r2 in zip(residuals(0.05), residuals(0.025)):
                 assert 6.0 <= r1 / r2 <= 10.0
                 assert r1 < 30 * 0.05 ** 3
@@ -233,9 +228,9 @@ class TestLazyGenerator:
 
         def deviation(eps):
             result = effective_hamiltonian(h0, v, eps, order=order, threshold=0.5)
-            low = result.split.low_projector
-            return float(np.abs(low.conj().T @ rotated_hamiltonian(result, h0, v) @ low
-                                - result.h_eff).max())
+            low = result.split.low
+            h_rot = result.split.rotated(rotated_hamiltonian(result, h0, v))
+            return float(np.abs(h_rot[np.ix_(low, low)] - result.h_eff).max())
 
         ratio = deviation(0.05) / deviation(0.025)
         assert 0.75 * 2 ** (order + 1) <= ratio <= 1.25 * 2 ** (order + 1)
@@ -283,18 +278,12 @@ class TestLazyGenerator:
         assert np.abs(result.h_eff - want).max() <= 1e-12
 
 
-def high_block(split, h0):
-    """``h0`` on the split's complement: ``h0[np.ix_(high_rows, high_rows)]``
-    on a coordinate split."""
-    if split.rows is not None:
-        return h0[np.ix_(split.rows[1], split.rows[1])]
-    return split.high_projector.conj().T @ h0 @ split.high_projector
-
-
-def whole_block_solve(h_high):
+def whole_block_solve(h0):
     """Reference for the per-component solve: one solve on the whole
-    centered high block ``h_high``."""
+    centered high block, the (high, high) slice of ``h0`` in the split's
+    basis."""
     def solve(split, rhs):
+        h_high = split.rotated(h0)[np.ix_(split.high, split.high)]
         return np.linalg.solve(h_high - split.e_bar * np.eye(len(h_high)), rhs)
     return solve
 
@@ -329,7 +318,7 @@ class TestPerComponentSolve:
             assert max(idx.shape[1] for idx in groups) == 16
         per_component = generator(result, v)
         monkeypatch.setattr(sw, "_centered_solve",
-                            whole_block_solve(high_block(result.split, h0)))
+                            whole_block_solve(h0))
         want = effective_hamiltonian(h0, v, eps, **chosen)
         for got, ref in ((result.h_eff, want.h_eff),
                          (per_component, generator(want, v))):
@@ -357,7 +346,7 @@ class TestPerComponentSolve:
         stacks = [stack.copy() for stack in split.stacks]
         got = sw._centered_solve(split, rhs)
         assert got.dtype == complex
-        want = whole_block_solve(high_block(split, h0))(split, rhs)
+        want = whole_block_solve(h0)(split, rhs)
         assert np.abs(got - want).max() <= 1e-15
         assert all(np.array_equal(a, b) for a, b in zip(stacks, split.stacks))
 
@@ -391,8 +380,8 @@ class TestShiftInvariance:
         # calls, so compare spectra and basis-free projections
         assert np.allclose(np.linalg.eigvalsh(shifted.h_eff),
                            np.linalg.eigvalsh(base.h_eff) + 3.0, atol=1e-9)
-        p_base = base.split.low_projector @ base.split.low_projector.conj().T
-        p_shift = shifted.split.low_projector @ shifted.split.low_projector.conj().T
+        p_base, p_shift = (split.basis[:, split.low] @ split.basis[:, split.low].conj().T
+                           for split in (base.split, shifted.split))
         assert np.allclose(p_base, p_shift, atol=1e-9)
         assert np.allclose(generator(base, v), generator(shifted, v), atol=1e-9)
 
@@ -455,7 +444,7 @@ class TestBlockSelection:
         v01 = v[:2, 2:]
         want = eps * v[:2, :2] - eps ** 2 * (v01 @ a @ v01.conj().T)
         assert np.allclose(result.h_eff, want, atol=1e-12)
-        assert np.allclose(result.split.low_projector, cols)
+        assert result.split.basis is None and list(result.split.low) == [0, 1]
 
     def test_explicit_columns_must_be_invariant(self):
         h0 = np.diag([0.0, 0.0, 5.0, 7.0]).astype(complex)
@@ -515,14 +504,14 @@ class TestCoordinateSplit:
         cols = np.eye(10)[:, low_rows]
         eps = 0.05
         sliced = effective_hamiltonian(h0, v, eps, low_columns=cols)
-        assert list(sliced.split.rows[0]) == low_rows
+        assert list(sliced.split.low) == low_rows
         high_rows = [r for r in range(10) if r not in low_rows]
-        assert list(sliced.split.rows[1]) == high_rows
+        assert list(sliced.split.high) == high_rows
         h_low = h0[np.ix_(low_rows, low_rows)]
         assert np.array_equal(sliced.split.h0_low, h_low)
         phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi, len(low_rows)))
         rotated = effective_hamiltonian(h0, v, eps, low_columns=cols * phase)
-        assert rotated.split.rows is None
+        assert rotated.split.basis is not None
         undone = phase[:, None] * rotated.h_eff * phase.conj()[None, :]
         assert np.abs(undone - sliced.h_eff).max() <= 1e-12
         e_bar = np.trace(h_low).real / len(low_rows)
@@ -538,7 +527,7 @@ class TestCoordinateSplit:
         cols = np.eye(10)[:, [7, 2, 5, 0]]
         sliced = effective_hamiltonian(h0, v, 0.05, low_columns=cols)
         rotated = effective_hamiltonian(h0, v, 0.05, low_columns=-cols)
-        assert rotated.split.rows is None
+        assert rotated.split.basis is not None
         assert np.abs(generator(sliced, v) - generator(rotated, v)).max() <= 1e-12
 
     @pytest.mark.parametrize("selector", ["columns", "threshold"])
@@ -568,7 +557,55 @@ class TestCoordinateSplit:
             with pytest.raises(ValidationError):
                 effective_hamiltonian(h0, v, 0.1, low_columns=cols)
         split = split_blocks(np.diag([0.0, 0.0, 5.0, 7.0]), low_columns=cols)
-        assert (split.rows is None) == (phase != 1.0)
+        assert (split.basis is None) == (phase == 1.0)
+
+
+class TestBlocksAreSlices:
+    """Each selector picks a basis, and every block is an index slice of a
+    matrix rotated into it."""
+
+    @pytest.mark.parametrize("selector", ["threshold", "coordinate", "phased"])
+    def test_every_block_is_a_slice(self, selector):
+        rng = np.random.default_rng(61)
+        if selector == "threshold":
+            h0, v = gapped_instance(rng)
+            chosen = {"threshold": 0.5}
+        else:
+            h0, v = coordinate_instance(rng)
+            cols = np.eye(10)[:, [7, 2, 5, 0]]
+            if selector == "phased":
+                cols = cols * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 4))
+            chosen = {"low_columns": cols}
+        split = split_blocks(h0, **chosen)
+        low, high = split.low, split.high
+        assert (split.basis is None) == (selector == "coordinate")
+        assert np.array_equal(np.sort(np.concatenate([low, high])),
+                              np.arange(len(h0)))
+        scale = max(1.0, np.abs(h0).max())
+        tol = 1e-12 * scale
+        h = split.rotated(h0)
+        assert np.abs(h[np.ix_(low, low)] - split.h0_low).max() <= tol
+        h_high = h[np.ix_(high, high)]
+        covered = np.sort(np.concatenate([idx.ravel() for idx in split.components]))
+        assert np.array_equal(covered, np.arange(len(high)))
+        for idx, stack in zip(split.components, split.stacks):
+            want = h_high[idx[:, :, None], idx[:, None, :]]
+            assert np.abs(stack - want).max() <= tol
+        for a, b in ((low, high), (high, low)):
+            assert np.abs(h[np.ix_(a, b)]).max() <= sw.BLOCK_RTOL * scale
+        if split.basis is not None:
+            basis = split.basis
+            assert np.abs(basis.conj().T @ basis - np.eye(len(h0))).max() <= 1e-12
+            rotated = split.rotated(v)
+            for a in (low, high):
+                for b in (low, high):
+                    want = basis[:, a].conj().T @ v @ basis[:, b]
+                    assert np.abs(rotated[np.ix_(a, b)] - want).max() <= 1e-12
+        if selector == "phased":
+            assert np.array_equal(split.basis[:, low], cols)
+        if selector == "threshold":
+            assert np.array_equal(split.h0_low, np.diag(np.diag(split.h0_low)))
+            assert all(stack.shape[1:] == (1, 1) for stack in split.stacks)
 
 
 class TestHighBlockVerdict:
