@@ -11,6 +11,13 @@ hopping produces the exchange interaction
 an antiferromagnetic coupling with singlet ground state and singlet-triplet
 splitting ``4 t**2 / U`` on a single edge.  ``verify_exchange`` rebuilds
 that prediction from the block-decoupling engine and compares elementwise.
+
+The exact half-filling spectrum is solved per particle-hole sector.  On a
+bipartite lattice (``eta_i = +-1`` on the two colours) the spin-preserving
+map ``c_i_up -> eta_i c+_i_down``, ``c_i_down -> -eta_i c+_i_up`` commutes
+with the hopping, the repulsion and every Zeeman field (Lieb 1989), so the
+sector splits into its two eigenspaces, each about half the size.  A lattice
+with an odd cycle has no such map and is solved whole.
 """
 
 from __future__ import annotations
@@ -29,10 +36,10 @@ from .operators import (
     LineReader,
     PauliTerm,
     SpinHamiltonian,
+    _checked_hermitian,
     _read_fermion,
     default_site_modes,
     eig_hermitian,  # unused here; perfbench/spans.py traces hubbard.eig_hermitian
-    eig_values,
     fermion_to_text,
     jordan_map_spin_to_fermion,
     realize_fermion,
@@ -197,7 +204,9 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     hopping vanishes on that block identically; the second-order block must
     match ``heisenberg_from_hubbard`` elementwise within tolerance (default
     ``10 * edges * t**3 / U**2``).  The reported splitting comes from the
-    eigenvalues of ``h0 + v``, the full lattice Hamiltonian on the sector.
+    eigenvalues of ``h0 + v``, the full lattice Hamiltonian on the sector,
+    solved per particle-hole sector on a bipartite lattice and whole
+    otherwise (``sector_values``).
     """
     check_regime(model)
     sector = half_filling_sector(model)
@@ -212,7 +221,7 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     # The split holds copies of h0's blocks, so h0 + v is formed in h0.
     h0 += v
     del v
-    exact = eig_values(h0)
+    exact = sector_values(model, sector, h0)
     # Singlet-triplet splitting of the first edge's pure-exchange prediction;
     # only meaningful without fields, reported regardless.
     derived = float(exact[1] - exact[0]) if exact.size > 1 else 0.0
@@ -224,9 +233,84 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
 
 
 def exact_spectrum(model: HubbardModel) -> np.ndarray:
-    """Half-filling eigenvalues of the full lattice Hamiltonian."""
+    """Half-filling eigenvalues of the full lattice Hamiltonian, solved per
+    particle-hole sector on a bipartite lattice and whole otherwise."""
     sector = half_filling_sector(model)
-    return eig_values(realize_fermion(build_hubbard(model), sector))
+    return sector_values(model, sector, realize_fermion(build_hubbard(model), sector))
+
+
+def particle_hole_map(model: HubbardModel, sector: FockSector):
+    """The particle-hole map of a half-filling sector as ``(image, sign)``,
+    or None when the lattice has an odd cycle.
+
+    With ``eta`` a 2-colouring of the sites, the map sends
+    ``c_i_up -> eta_i c+_i_down`` and ``c_i_down -> -eta_i c+_i_up``, so
+    sector state ``b`` goes to ``sign[b]`` times state ``image[b]``, with
+    ``n'_i_up = 1 - n_i_down`` and ``n'_i_down = 1 - n_i_up``.  The sign
+    is the product of the ``eta`` factors and the parity of the mapped
+    annihilators applied, right to left, to the full state.  The full
+    state's own sign, the image of the vacuum, is free; ``(-1)**sites``
+    times the product of all ``eta`` makes every fixed point, that is every
+    singly-occupied state, even.  The map is its own inverse.
+    """
+    eta = [0] * model.sites
+    for root in range(model.sites):
+        if eta[root]:
+            continue
+        eta[root], frontier = 1, [root]
+        while frontier:
+            i = frontier.pop()
+            for j in {a + b - i for a, b in model.edges if i in (a, b)}:
+                if eta[j] == eta[i]:
+                    return None
+                if not eta[j]:
+                    eta[j] = -eta[i]
+                    frontier.append(j)
+    m = sector.num_modes
+    states = np.array(sector.states, dtype=np.int64)
+    image = np.full_like(states, (1 << m) - 1)
+    odd = np.full_like(states, model.sites + eta.count(-1))
+    for mode in reversed(range(m)):
+        occupied = (states >> (m - 1 - mode)) & 1
+        bit = m - 1 - (mode ^ 1)
+        # c+_mode becomes -eta c_{partner} for a down mode, +eta for an up one
+        odd += occupied * (np.bitwise_count(image >> (bit + 1))
+                           + (mode & 1) + (eta[mode // 2] < 0))
+        image ^= occupied << bit
+    # sector.states is descending; searchsorted needs it ascending
+    found = np.searchsorted(states[::-1], image)
+    return states.size - 1 - found, np.where(odd & 1, -1.0, 1.0)
+
+
+def sector_values(model: HubbardModel, sector: FockSector, matrix) -> np.ndarray:
+    """Ascending eigenvalues of ``model``'s half-filling ``matrix`` (one
+    Hermiticity verdict on it), per particle-hole sector when
+    ``particle_hole_map`` has a map and whole otherwise.
+
+    Sector ``s = +-1`` keeps one representative ``b`` per orbit
+    ``{b, image b}``, a fixed point only when its sign is ``s``, with
+    ``B_s[k, l] = (H[b_k, b_l] + s sign[b_k] H[image b_k, b_l]) * 2 / (N_k N_l)``
+    and ``N = sqrt 2`` for a pair, 2 for a fixed point.  Each block is built
+    and solved in turn, so no temporary is as large as ``matrix``.
+    """
+    matrix = _checked_hermitian(matrix)
+    ph_map = particle_hole_map(model, sector)
+    blocks = [matrix] if ph_map is None else (
+        _sector_block(matrix, *ph_map, s) for s in (1.0, -1.0))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
+
+
+def _sector_block(matrix, image, sign, s):
+    index = np.arange(image.size)
+    pair = image != index
+    keep = np.flatnonzero(np.where(pair, index < image, sign == s))
+    block = matrix[np.ix_(image[keep], keep)]
+    block *= (s * sign[keep])[:, None]
+    block += matrix[np.ix_(keep, keep)]
+    scale = np.where(pair[keep], 1.0, math.sqrt(0.5))
+    block *= scale[:, None]
+    block *= scale
+    return block
 
 
 def singlet_triplet_splitting(model: HubbardModel) -> float:

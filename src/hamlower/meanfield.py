@@ -174,15 +174,18 @@ class SecondQuantizedHamiltonian:
 
 
 def _accumulate(out, flat, values):
-    """``out.flat[flat] += values`` with repeated indices summed."""
+    """``out.flat[flat] += values`` with repeated indices summed; a real
+    ``out`` takes the real part of ``values``."""
     size = out.size
     out.real += np.bincount(flat.ravel(), values.real.ravel(), size).reshape(out.shape)
-    out.imag += np.bincount(flat.ravel(), values.imag.ravel(), size).reshape(out.shape)
+    if np.iscomplexobj(out):
+        out.imag += np.bincount(flat.ravel(), values.imag.ravel(), size).reshape(out.shape)
 
 
 def sector_matrix(ham: SecondQuantizedHamiltonian, sector: FockSector) -> np.ndarray:
     """Matrix of ``ham`` on a fixed-particle-number sector, from its dense
-    tensors (exact sectors are small by ``MAX_EXACT_DIMENSION``).
+    tensors (exact sectors are small by ``MAX_EXACT_DIMENSION``): float64
+    when every coefficient's imaginary part is exactly 0, complex otherwise.
 
     With ``E_pq = a+_p a_q``, ``a+_i a+_j a_k a_l = E_il E_jk - delta_jl E_ik``,
     so ``H = sum_ik (h_ik - 1/2 sum_j w_ijkj) E_ik
@@ -199,9 +202,12 @@ def sector_matrix(ham: SecondQuantizedHamiltonian, sector: FockSector) -> np.nda
     m = ham.num_modes
     dim = sector.dimension
     pairs, targets, signs = excitation_table(sector)
-    out = np.zeros((dim, dim), dtype=complex)
-    w = ham.dense_two_body()
-    one_body = ham.one_body - 0.5 * np.einsum("ijkj->ik", w)
+    w, one_body = ham.dense_two_body(), ham.one_body
+    real = not (one_body.imag.any() or ham.two_body_values.imag.any())
+    if real:
+        w, one_body = w.real, one_body.real
+    one_body = one_body - 0.5 * np.einsum("ijkj->ik", w)
+    out = np.zeros((dim, dim), dtype=float if real else complex)
     cols = np.arange(dim)[:, None]
     _accumulate(out, targets * dim + cols, one_body.reshape(-1)[pairs] * signs)
     # w_ijkl at [i*m + l, j*m + k]: row pair of E_il, column pair of E_jk

@@ -738,21 +738,18 @@ def singly_occupied_projector(sector: FockSector, num_sites: int) -> np.ndarray:
 
     Sector ordering makes the singly-occupied states appear in the same
     relative order as the corresponding spin basis (up = |0>), so the columns
-    can be filled by a single ordered scan.
+    follow the sector order.  Site ``i``'s down mode sits at bit
+    ``num_modes - 2 - 2 i``, just right of its up mode, so a state is singly
+    occupied when ``state ^ (state >> 1)`` sets every such bit.
     """
-    cols = []
-    for state in sector.states:
-        occ = sector.occupations(state)
-        good = all(occ[up] + occ[down] == 1
-                   for up, down in map(default_site_modes, range(num_sites)))
-        if good:
-            cols.append(sector.index[state])
-    if len(cols) != 2 ** num_sites:
+    mask = sum(1 << (sector.num_modes - 2 - 2 * site) for site in range(num_sites))
+    states = np.array(sector.states, dtype=np.int64)
+    rows = np.flatnonzero(((states ^ (states >> 1)) & mask) == mask)
+    if rows.size != 2 ** num_sites:
         raise ValidationError(
-            f"expected {2 ** num_sites} singly-occupied states, found {len(cols)}")
-    proj = np.zeros((sector.dimension, len(cols)))
-    for k, i in enumerate(cols):
-        proj[i, k] = 1.0
+            f"expected {2 ** num_sites} singly-occupied states, found {rows.size}")
+    proj = np.zeros((sector.dimension, rows.size))
+    proj[rows, np.arange(rows.size)] = 1.0
     return proj
 
 

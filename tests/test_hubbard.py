@@ -25,6 +25,8 @@ from hamlower.hubbard import (
     hubbard_from_text,
     hubbard_to_text,
     interaction_operator,
+    particle_hole_map,
+    sector_values,
     singlet_triplet_splitting,
     verify_exchange,
 )
@@ -256,16 +258,21 @@ class TestVerifyExchange:
     def test_index_split_solves_four_matrices_and_no_qr(self, monkeypatch):
         solves = []  # (helper, matrix dim, largest block handed to eigvalsh)
         blocks = []
+        running = []  # the counted helper being run, if any
         eigvalsh = np.linalg.eigvalsh
 
         def sized(matrix, *args, **kwargs):
             blocks.append(np.shape(matrix)[-1])
+            if not running:
+                solves.append(("eigvalsh", blocks[-1], blocks[-1]))
             return eigvalsh(matrix, *args, **kwargs)
 
         def counted(helper, dim=lambda matrix: np.shape(matrix)[0]):
             def solve(matrix):
                 blocks.clear()
+                running.append(helper)
                 values = helper(matrix)
+                running.pop()
                 solves.append((helper.__name__, dim(matrix), max(blocks)))
                 return values
             return solve
@@ -280,21 +287,23 @@ class TestVerifyExchange:
                                                    for s in stacks)))
         monkeypatch.setattr(sw, "component_eig_values",
                             counted(component_eig_values))
-        monkeypatch.setattr(hubbard, "eig_values", counted(eig_values))
         monkeypatch.setattr(np.linalg, "qr", refuse)
         ring = BUILD_MODELS["ring"]
         xyz = HubbardModel(ring.sites, ring.t, ring.u, ring.edges,
                            ((0.01, 0.02, -0.03), (0.0, -0.01, 0.02),
                             (0.03, 0.01, 0.0), (-0.02, 0.0, 0.01)))
         assert verify_exchange(xyz).passed
-        # On the 70-state sector the low block and h0 + v are solved whole.
-        # The high block, held as component stacks, splits by site
-        # occupations (at most two singly occupied sites, so 4 spin states)
-        # and v by N-up (36 = 6 * 6).
+        # On the 70-state sector the low block is solved whole.  The high
+        # block, held as component stacks, splits by site occupations (at
+        # most two singly occupied sites, so 4 spin states) and v by N-up
+        # (36 = 6 * 6).  h0 + v is solved per particle-hole sector: the 16
+        # singly-occupied fixed points and one state of each of the 27
+        # pairs, then the other combination of the pairs.
         assert solves == [("eig_values", 16, 16),
                           ("stacked_eig_values", 54, 4),
                           ("component_eig_values", 70, 36),
-                          ("eig_values", 70, 70)]
+                          ("eigvalsh", 43, 43),
+                          ("eigvalsh", 27, 27)]
 
     def test_each_input_is_checked_for_hermiticity_once(self, monkeypatch):
         # Whole matrices go through _checked_hermitian, block-diagonal ones
@@ -404,6 +413,86 @@ class TestVerifyExchange:
         held = [array for f in dataclasses.fields(split)
                 for array in arrays(getattr(split, f.name))]
         assert max(array.nbytes for array in held) < dim * 64 * np.dtype(float).itemsize
+
+
+def lattice(sites, ring, fields=False, t=1.0, u=100.0):
+    edges = [(i, i + 1) for i in range(sites - 1)] + ([(sites - 1, 0)] if ring else [])
+    rng = np.random.default_rng(sites)
+    rows = tuple(tuple(0.04 * rng.uniform(-1, 1, 3)) for _ in range(sites)) if fields else ()
+    return HubbardModel(sites, t, u, tuple(edges), rows)
+
+
+# The exact benchmark's shapes: (sites, ring, fields) and the particle-hole
+# sector sizes of their half-filling sectors (the odd ring has no map).
+BENCH_SHAPES = {(6, True, True): [494, 430], (4, True, False): [43, 27],
+                (4, False, True): [43, 27], (5, False, False): [142, 110],
+                (5, True, True): [252]}
+
+
+class TestParticleHoleMap:
+    @pytest.mark.parametrize("fields", [False, True])
+    @pytest.mark.parametrize("sites, ring", [(2, False), (3, False), (4, False),
+                                             (5, False), (6, False),
+                                             (4, True), (6, True)])
+    def test_signed_involution_commuting_with_both_parts(self, sites, ring, fields):
+        model = lattice(sites, ring, fields)
+        sector = half_filling_sector(model)
+        image, sign = particle_hole_map(model, sector)
+        index = np.arange(sector.dimension)
+        assert np.array_equal(np.sort(image), index)
+        assert set(np.unique(sign)) <= {-1.0, 1.0}
+        # U|b> = sign[b] |image b>: U^2 = I and U^T M U = M for h0 and v
+        assert np.array_equal(image[image], index)
+        assert np.array_equal(sign[image] * sign, np.ones(index.size))
+        for op in (interaction_operator(model), hopping_operator(model)):
+            matrix = realize_fermion(op, sector)
+            mapped = sign[:, None] * matrix[np.ix_(image, image)] * sign
+            assert np.array_equal(mapped, matrix)
+        # The fixed points are the singly-occupied states, all even.
+        single = hubbard.singly_occupied_projector(sector, sites).any(axis=1)
+        assert np.array_equal(image == index, single)
+        assert np.array_equal(sign[single], np.ones(2 ** sites))
+
+    @pytest.mark.parametrize("shape", sorted(BENCH_SHAPES), ids=lambda shape: "{}-{}{}".format(
+        shape[0], "ring" if shape[1] else "chain", "-fields" if shape[2] else ""))
+    def test_sector_spectrum_matches_the_whole_solve(self, shape, monkeypatch):
+        model = lattice(*shape)
+        sector = half_filling_sector(model)
+        matrix = realize_fermion(build_hubbard(model), sector)
+        whole = np.linalg.eigvalsh(matrix)
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def sized(block, *args, **kwargs):
+            sizes.append(block.shape[0])
+            return eigvalsh(block, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", sized)
+        values = exact_spectrum(model)
+        assert sizes == BENCH_SHAPES[shape]
+        assert np.all(np.diff(values) >= 0)
+        assert np.abs(values - whole).max() <= 1e-11
+        report = verify_exchange(model)
+        assert report.splitting_derived == pytest.approx(whole[1] - whole[0], abs=1e-11)
+
+    @pytest.mark.parametrize("model", [
+        HubbardModel(3, 1.0, 100.0, ((0, 1), (1, 2), (2, 0))),
+        lattice(5, True, fields=True)], ids=["triangle", "5-ring"])
+    def test_odd_cycle_has_no_map_and_one_sector(self, model, monkeypatch):
+        sector = half_filling_sector(model)
+        assert particle_hole_map(model, sector) is None
+        matrix = realize_fermion(build_hubbard(model), sector)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(block, *args, **kwargs):
+            solved.append(block)
+            return eigvalsh(block, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        values = sector_values(model, sector, matrix)
+        assert len(solved) == 1 and solved[0] is matrix
+        assert values.tobytes() == eigvalsh(matrix).tobytes()
 
 
 class TestSerialization:

@@ -594,6 +594,24 @@ class TestSectorMatrix:
         with pytest.raises(ValidationError):
             sector_matrix(ham, FockSector(4, 2))
 
+    @pytest.mark.parametrize("imaginary", [None, "one-body", "two-body"])
+    def test_real_coefficients_give_a_real_matrix(self, imaginary):
+        real = random_hamiltonian(np.random.default_rng(8), 6, real=True)
+        h, w = real.one_body.copy(), real.dense_two_body()
+        # one imaginary coefficient and its Hermitian mirror
+        if imaginary == "one-body":
+            h[0, 1], h[1, 0] = h[0, 1] + 1e-3j, h[1, 0] - 1e-3j
+        elif imaginary == "two-body":
+            w[0, 1, 2, 3], w[3, 2, 1, 0] = w[0, 1, 2, 3] + 1e-3j, w[3, 2, 1, 0] - 1e-3j
+        ham = SecondQuantizedHamiltonian(h, w)
+        sector = FockSector(6, 3)
+        got = sector_matrix(ham, sector)
+        assert got.dtype == (float if imaginary is None else complex)
+        want = realize_fermion(fermionic_operator(ham), sector).astype(complex)
+        assert np.abs(got - want).max() <= 1e-12
+        energy = eig_hermitian(want).values[0]
+        assert exact_ground_energy(ham, 3) == pytest.approx(energy, abs=1e-12)
+
 
 class TestRowRestrictedSCF:
     """scf_solve keeps only the kernel's nonzero rows and columns and runs

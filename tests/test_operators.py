@@ -20,6 +20,7 @@ from hamlower.operators import (
     _checked_hermitian,
     _read_fermion,
     component_eig_values,
+    default_site_modes,
     dense_spin_limit,
     eig_hermitian,
     eig_values,
@@ -623,6 +624,22 @@ class TestSpinFermionMap:
         proj = singly_occupied_projector(sector, num_sites=2)
         assert proj.shape == (6, 4)
         assert np.allclose(proj.T @ proj, np.eye(4))
+
+    @pytest.mark.parametrize("sites", range(1, 7))
+    def test_projector_matches_the_state_loop(self, sites):
+        sector = FockSector(2 * sites, sites)
+        cols = []
+        for state in sector.states:
+            occ = sector.occupations(state)
+            if all(occ[up] + occ[down] == 1
+                   for up, down in map(default_site_modes, range(sites))):
+                cols.append(sector.index[state])
+        want = np.zeros((sector.dimension, len(cols)))
+        for k, i in enumerate(cols):
+            want[i, k] = 1.0
+        got = singly_occupied_projector(sector, sites)
+        assert got.dtype == want.dtype and got.shape == (sector.dimension, 2 ** sites)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTextFormats:
