@@ -17,7 +17,11 @@ bipartite lattice (``eta_i = +-1`` on the two colours) the spin-preserving
 map ``c_i_up -> eta_i c+_i_down``, ``c_i_down -> -eta_i c+_i_up`` commutes
 with the hopping, the repulsion and every Zeeman field (Lieb 1989), so the
 sector splits into its two eigenspaces, each about half the size.  A lattice
-with an odd cycle has no such map and is solved whole.
+with an odd cycle has no such map and is solved whole.  Every
+singly-occupied state is an even fixed point of the map, so the low band
+sits in the even sector: a caller that reads only the lowest values
+(``sector_values(..., lowest=k)``) gets them from the even block alone
+whenever the odd block's Gershgorin floor lies above them.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ from . import sw
 MAX_EXACT_SITES = 6
 
 REGIME_FACTOR = 10.0
+
+# Relative rounding margin by which a block's Gershgorin floor must clear the
+# values asked of ``sector_values`` before the block's solve is skipped.
+FLOOR_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -204,9 +212,11 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     hopping vanishes on that block identically; the second-order block must
     match ``heisenberg_from_hubbard`` elementwise within tolerance (default
     ``10 * edges * t**3 / U**2``).  The reported splitting comes from the
-    eigenvalues of ``h0 + v``, the full lattice Hamiltonian on the sector,
-    solved per particle-hole sector on a bipartite lattice and whole
-    otherwise (``sector_values``).
+    two lowest eigenvalues of ``h0 + v``, the full lattice Hamiltonian on
+    the sector (``sector_values`` with ``lowest=2``).  On a bipartite
+    lattice they come from the even particle-hole block: the split's
+    regime check puts the odd block above them, and its Gershgorin floor
+    shows it, so the odd block is built but not solved.
     """
     check_regime(model)
     sector = half_filling_sector(model)
@@ -221,7 +231,7 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
     # The split holds copies of h0's blocks, so h0 + v is formed in h0.
     h0 += v
     del v
-    exact = sector_values(model, sector, h0)
+    exact = sector_values(model, sector, h0, lowest=2)
     # Singlet-triplet splitting of the first edge's pure-exchange prediction;
     # only meaningful without fields, reported regardless.
     derived = float(exact[1] - exact[0]) if exact.size > 1 else 0.0
@@ -233,8 +243,9 @@ def verify_exchange(model: HubbardModel, tolerance=None) -> ExchangeReport:
 
 
 def exact_spectrum(model: HubbardModel) -> np.ndarray:
-    """Half-filling eigenvalues of the full lattice Hamiltonian, solved per
-    particle-hole sector on a bipartite lattice and whole otherwise."""
+    """Every half-filling eigenvalue of the full lattice Hamiltonian, solved
+    per particle-hole sector (both blocks) on a bipartite lattice and whole
+    otherwise."""
     sector = half_filling_sector(model)
     return sector_values(model, sector, realize_fermion(build_hubbard(model), sector))
 
@@ -282,22 +293,63 @@ def particle_hole_map(model: HubbardModel, sector: FockSector):
     return states.size - 1 - found, np.where(odd & 1, -1.0, 1.0)
 
 
-def sector_values(model: HubbardModel, sector: FockSector, matrix) -> np.ndarray:
-    """Ascending eigenvalues of ``model``'s half-filling ``matrix`` (one
-    Hermiticity verdict on it), per particle-hole sector when
-    ``particle_hole_map`` has a map and whole otherwise.
+def sector_values(model: HubbardModel, sector: FockSector, matrix,
+                  lowest=None) -> np.ndarray:
+    """The ascending lowest ``lowest`` eigenvalues of ``model``'s
+    half-filling ``matrix``, or all of them when ``lowest`` is None (one
+    Hermiticity verdict on ``matrix``).  A ``lowest`` at or above the
+    dimension returns every value; one below 1 is refused.
 
-    Sector ``s = +-1`` keeps one representative ``b`` per orbit
-    ``{b, image b}``, a fixed point only when its sign is ``s``, with
+    When ``particle_hole_map`` has no map the matrix is solved whole.
+    Otherwise it is solved per particle-hole sector: sector ``s = +-1``
+    keeps one representative ``b`` per orbit ``{b, image b}``, a fixed
+    point only when its sign is ``s``, with
     ``B_s[k, l] = (H[b_k, b_l] + s sign[b_k] H[image b_k, b_l]) * 2 / (N_k N_l)``
     and ``N = sqrt 2`` for a pair, 2 for a fixed point.  Each block is built
     and solved in turn, so no temporary is as large as ``matrix``.
+
+    The even block, which holds every fixed point, is solved first.  The
+    odd block is solved only when it could hold one of the values asked
+    for: it is skipped when its Gershgorin floor
+    ``min_k (Re B_kk - sum_{l != k} |B_kl|)`` exceeds the even block's
+    ``lowest``-th value by more than ``FLOOR_MARGIN * max(1, max |B|)``,
+    a rounding margin that keeps the result bit-identical to the first
+    ``lowest`` values of the merged spectrum.
+
+    Inside ``verify_exchange`` the odd block never holds the values read.
+    ``effective_hamiltonian`` refuses the model unless ``|v| < gap / 2``,
+    with ``gap`` between the singly-occupied (low) and the other (high)
+    eigenvalues of ``h0``.  Every odd state lies in the high space, so by
+    Weyl's inequality the odd block's values lie above
+    ``max(low) + gap - |v| > max(low) + gap / 2``, while the lowest
+    ``2**n`` values of ``h0 + v`` lie below ``max(low) + |v| <
+    max(low) + gap / 2``.  So the floor, which alone decides the skip, is
+    a safeguard for other callers, not a bet; on the strong-coupling
+    models checked it clears the lowest ``2**n`` values by far.
     """
+    if lowest is not None and lowest < 1:
+        raise ValidationError(f"lowest must be at least 1, got {lowest}")
     matrix = _checked_hermitian(matrix)
     ph_map = particle_hole_map(model, sector)
-    blocks = [matrix] if ph_map is None else (
-        _sector_block(matrix, *ph_map, s) for s in (1.0, -1.0))
-    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
+    if ph_map is None:
+        return np.linalg.eigvalsh(matrix)[:lowest]
+    values = np.linalg.eigvalsh(_sector_block(matrix, *ph_map, 1.0))
+    odd = _sector_block(matrix, *ph_map, -1.0)
+    if lowest is None or lowest > values.size or not _floor_clears(
+            odd, values[lowest - 1]):
+        values = np.sort(np.concatenate([values, np.linalg.eigvalsh(odd)]))
+    return values[:lowest]
+
+
+def _floor_clears(block, value) -> bool:
+    """Whether every eigenvalue of Hermitian ``block`` provably exceeds
+    ``value`` by more than the rounding margin (Gershgorin)."""
+    if not block.size:
+        return True
+    size = np.abs(block)
+    diagonal = block.diagonal().real
+    floor = np.min(diagonal - (size.sum(axis=1) - size.diagonal()))
+    return floor > value + FLOOR_MARGIN * max(1.0, size.max())
 
 
 def _sector_block(matrix, image, sign, s):
@@ -314,8 +366,11 @@ def _sector_block(matrix, image, sign, s):
 
 
 def singlet_triplet_splitting(model: HubbardModel) -> float:
-    """Gap above the ground state at half filling."""
-    values = exact_spectrum(model)
+    """Gap above the ground state at half filling, from the two lowest
+    eigenvalues only (``sector_values``)."""
+    sector = half_filling_sector(model)
+    values = sector_values(model, sector,
+                           realize_fermion(build_hubbard(model), sector), lowest=2)
     if values.size < 2:
         raise ValidationError("model has no excited state at half filling")
     return float(values[1] - values[0])

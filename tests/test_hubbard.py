@@ -296,14 +296,13 @@ class TestVerifyExchange:
         # On the 70-state sector the low block is solved whole.  The high
         # block, held as component stacks, splits by site occupations (at
         # most two singly occupied sites, so 4 spin states) and v by N-up
-        # (36 = 6 * 6).  h0 + v is solved per particle-hole sector: the 16
-        # singly-occupied fixed points and one state of each of the 27
-        # pairs, then the other combination of the pairs.
+        # (36 = 6 * 6).  Of h0 + v only the even particle-hole block is
+        # solved: the 16 singly-occupied fixed points and one state of each
+        # of the 27 pairs.  The odd block's floor lies above both values read.
         assert solves == [("eig_values", 16, 16),
                           ("stacked_eig_values", 54, 4),
                           ("component_eig_values", 70, 36),
-                          ("eigvalsh", 43, 43),
-                          ("eigvalsh", 27, 27)]
+                          ("eigvalsh", 43, 43)]
 
     def test_each_input_is_checked_for_hermiticity_once(self, monkeypatch):
         # Whole matrices go through _checked_hermitian, block-diagonal ones
@@ -493,6 +492,137 @@ class TestParticleHoleMap:
         values = sector_values(model, sector, matrix)
         assert len(solved) == 1 and solved[0] is matrix
         assert values.tobytes() == eigvalsh(matrix).tobytes()
+
+
+def recorded_solves(monkeypatch):
+    """Record every block handed to eigvalsh and every odd sector block built."""
+    solved, odd = [], []
+    eigvalsh, sector_block = np.linalg.eigvalsh, hubbard._sector_block
+
+    def recorded(block, *args, **kwargs):
+        solved.append(block)
+        return eigvalsh(block, *args, **kwargs)
+
+    def built(matrix, image, sign, s):
+        block = sector_block(matrix, image, sign, s)
+        if s < 0:
+            odd.append(block)
+        return block
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    monkeypatch.setattr(hubbard, "_sector_block", built)
+    return solved, odd
+
+
+# Every model verify_exchange accepts elsewhere in the suite.
+ACCEPTED_MODELS = {
+    "dimer": dimer(),
+    "dimer-fields": dimer(fields=((0.0, 0.0, 0.3), (0.1, 0.2, 0.0))),
+    "chain-3": HubbardModel(3, 1.0, 100.0, ((0, 1), (1, 2))),
+    "chain-3-fields": HubbardModel(3, 1.0, 100.0, ((0, 1), (1, 2)), (
+        (0.3, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.3))),
+    "ring-4-transverse": HubbardModel(4, 1.0, 200.0, ((0, 1), (1, 2), (2, 3), (3, 0)),
+                                      ((0.05, 0.0, 0.0),) * 4),
+    "ring-4-xyz": HubbardModel(4, 1.3, 140.0, ((0, 1), (1, 2), (2, 3), (3, 0)), (
+        (0.01, 0.02, -0.03), (0.0, -0.01, 0.02), (0.03, 0.01, 0.0), (-0.02, 0.0, 0.01))),
+    "ring-4-cli": HubbardModel(4, 1.2, 120.0, ((0, 1), (1, 2), (2, 3), (3, 0))),
+    "ring-6-xyz": HubbardModel(6, 1.0, 100.0, tuple((i, (i + 1) % 6) for i in range(6)),
+                               tuple((0.01 * (i % 3), -0.02 + 0.01 * i, 0.015 - 0.005 * i)
+                                     for i in range(6))),
+    **{f"build-{name}": model for name, model in BUILD_MODELS.items()},
+    **{"bench-{}-{}{}".format(shape[0], "ring" if shape[1] else "chain",
+                              "-fields" if shape[2] else ""): lattice(*shape)
+       for shape in BENCH_SHAPES},
+}
+
+
+class TestLowestValues:
+    @pytest.mark.parametrize("fields", [False, True], ids=["plain", "xyz"])
+    @pytest.mark.parametrize("sites, ring", [(1, False), (2, False), (3, False),
+                                             (4, False), (5, False), (6, False),
+                                             (3, True), (4, True), (5, True), (6, True)])
+    def test_lowest_is_the_prefix_of_every_value(self, sites, ring, fields):
+        # A single site has only its two fixed points: the odd block is empty.
+        model = lattice(sites, ring, fields)
+        sector = half_filling_sector(model)
+        matrix = realize_fermion(build_hubbard(model), sector)
+        every = sector_values(model, sector, matrix)
+        assert every.size == sector.dimension
+        for k in (1, 2, 2 ** sites, sector.dimension, sector.dimension + 1):
+            assert np.array_equal(sector_values(model, sector, matrix, lowest=k),
+                                  every[:k])
+
+    @pytest.mark.parametrize("sites, ring", [(4, False), (5, False), (4, True), (6, True)])
+    def test_regime_limit_low_band_needs_no_odd_solve(self, sites, ring, monkeypatch):
+        # At U = REGIME_FACTOR * t * max_degree with fields of 0.3 t the odd
+        # block's floor still clears the whole low band, which is what the
+        # lowest-2**n gate of the exact spectrum reads.
+        model = lattice(sites, ring, t=1.0, u=hubbard.REGIME_FACTOR * 2)
+        model = dataclasses.replace(model, fields=tuple(
+            (0.3 * (-1) ** i, 0.3, -0.3) for i in range(sites)))
+        sector = half_filling_sector(model)
+        matrix = realize_fermion(build_hubbard(model), sector)
+        every = sector_values(model, sector, matrix)
+        solved, odd = recorded_solves(monkeypatch)
+        values = sector_values(model, sector, matrix, lowest=2 ** sites)
+        assert len(solved) == 1 and len(odd) == 1
+        assert np.array_equal(values, every[:2 ** sites])
+
+    @pytest.mark.parametrize("u, lowest", [(1.0, 1), (1.0, 2), (100.0, 44)],
+                             ids=["U=t-ground", "U=t-pair", "above-even-block"])
+    def test_uncleared_floor_solves_both_blocks(self, u, lowest, monkeypatch):
+        # At U = t the odd block reaches into the low values; asking for more
+        # values than the even block's 43 needs the odd block at any U.
+        model = lattice(4, True, u=u)
+        sector = half_filling_sector(model)
+        matrix = realize_fermion(build_hubbard(model), sector)
+        every = sector_values(model, sector, matrix)
+        solved, odd = recorded_solves(monkeypatch)
+        values = sector_values(model, sector, matrix, lowest=lowest)
+        assert [block.shape[0] for block in solved] == [43, 27]
+        assert solved[1] is odd[0]
+        assert np.array_equal(values, every[:lowest])
+
+    @pytest.mark.parametrize("model", [
+        HubbardModel(3, 1.0, 100.0, ((0, 1), (1, 2), (2, 0))),
+        lattice(5, True, fields=True)], ids=["triangle", "5-ring"])
+    def test_odd_cycle_returns_the_whole_solves_prefix(self, model, monkeypatch):
+        sector = half_filling_sector(model)
+        matrix = realize_fermion(build_hubbard(model), sector)
+        whole = np.linalg.eigvalsh(matrix)
+        solved, _ = recorded_solves(monkeypatch)
+        for k in (1, 2, 2 ** model.sites):
+            assert np.array_equal(sector_values(model, sector, matrix, lowest=k),
+                                  whole[:k])
+        assert len(solved) == 3 and all(block is matrix for block in solved)
+
+    @pytest.mark.parametrize("lowest", [0, -1])
+    def test_lowest_below_one_is_refused(self, lowest):
+        model = dimer()
+        sector = half_filling_sector(model)
+        matrix = realize_fermion(build_hubbard(model), sector)
+        with pytest.raises(ValidationError, match="lowest"):
+            sector_values(model, sector, matrix, lowest=lowest)
+
+    @pytest.mark.parametrize("name", sorted(ACCEPTED_MODELS))
+    def test_verify_exchange_never_solves_the_odd_block(self, name, monkeypatch):
+        # An odd cycle has no odd block; its whole matrix is the one solve.
+        model = ACCEPTED_MODELS[name]
+        sector = half_filling_sector(model)
+        bipartite = particle_hole_map(model, sector) is not None
+        solved, odd = recorded_solves(monkeypatch)
+        report = verify_exchange(model)
+        assert len(odd) == bipartite
+        assert not any(block is built for block in solved for built in odd)
+        every = np.linalg.eigvalsh(realize_fermion(build_hubbard(model), sector))
+        assert report.splitting_derived == pytest.approx(every[1] - every[0], abs=1e-11)
+
+    def test_splitting_reads_the_two_lowest_values(self, monkeypatch):
+        model = lattice(4, True, fields=True)
+        every = exact_spectrum(model)
+        solved, odd = recorded_solves(monkeypatch)
+        assert singlet_triplet_splitting(model) == every[1] - every[0]
+        assert [block.shape[0] for block in solved] == [43] and len(odd) == 1
 
 
 class TestSerialization:
