@@ -11,12 +11,18 @@ with ``|l> = M|0>``, ``|h> = M|1>``.  At second order the low sector sees
 
     sum_P d_P S_P  -  (1/delta) (sum_P o_P S_P)(sum_Q conj(o_Q) S_Q)
 
-with ``d_P = <l|P|l>`` and ``o_P = <l|P|h>``.  The compiler chains four
-gadget layers (decompose same-axis couplings, entangle, freeze to a
-two-axis pattern, freeze to full Heisenberg couplings), schedules the
-(lambda, delta) ladder against a precision target, and emits exact
-compensation fields for every first- and second-order local byproduct so the
-compiled low spectrum reproduces the source up to a scalar offset.
+with ``d_P = <l|P|l>`` and ``o_P = <l|P|h>``; ``gadget_model`` expands it
+from single-site Pauli products (the closed form ``mediator_effective`` is
+used only by tests).  There are two gadget kinds: a *mixer* (``_mixer``) has
+one slot of strength lambda per attached site, with splitting angles solved
+for its target pair factor; a *freezer* (``_freeze``) attaches both sites to
+every slot with a mediator frozen along one axis, so only same-axis
+couplings survive.  The compiler chains four layers of them (mixers that
+decompose same-axis couplings and entangle, freezers to a two-axis pattern
+and to full Heisenberg couplings), schedules the (lambda, delta) ladder
+against a precision target, and emits exact compensation fields for every
+first- and second-order local byproduct so the compiled low spectrum
+reproduces the source up to a scalar offset.
 
 Sub-coupling strengths are emitted *down-scaled* so that each layer's
 realized second-order coupling equals its bookkeeping target exactly; the
@@ -49,7 +55,7 @@ from .operators import (
     dense_spin_limit,
     eig_hermitian,  # unused here; perfbench/spans.py traces gadgets.eig_hermitian
     low_spectrum,
-    multiply_factor_tuples,
+    pauli_product,
     realize_spin,  # unused here; perfbench/spans.py traces gadgets.realize_spin
     spin_components,
     spin_from_text,  # unused here; perfbench/spans.py traces gadgets.spin_from_text
@@ -83,30 +89,6 @@ def third_axis(a: str, b: str) -> str:
     return rest.pop()
 
 
-def mediator_matrix(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [[math.cos(theta), -math.sin(theta) * cmath.exp(-1j * phi)],
-         [math.sin(theta) * cmath.exp(1j * phi), math.cos(theta)]])
-
-
-def dressed_states(theta: float, phi: float):
-    """(|l>, |h>) columns of the splitting rotation."""
-    m = mediator_matrix(theta, phi)
-    return m[:, 0], m[:, 1]
-
-
-def cross_element(theta: float, phi: float, axis: str) -> complex:
-    """Numeric <l|P|h> for one mediator axis."""
-    l, h = dressed_states(theta, phi)
-    return complex(l.conj() @ PAULI_MATRICES[axis] @ h)
-
-
-def dressed_element(theta: float, phi: float, axis: str) -> float:
-    """Numeric <l|P|l> (real by Hermiticity)."""
-    l, _ = dressed_states(theta, phi)
-    return float((l.conj() @ PAULI_MATRICES[axis] @ l).real)
-
-
 @dataclass(frozen=True)
 class MediatorCoefficients:
     """Per-axis dressed (d) and cross (o) elements of one splitting choice."""
@@ -127,8 +109,16 @@ class MediatorCoefficients:
 
 
 def mediator_coefficients(theta: float, phi: float) -> MediatorCoefficients:
-    d = {p: dressed_element(theta, phi, p) for p in AXES}
-    o = {p: cross_element(theta, phi, p) for p in AXES}
+    """``d_P = <l|P|l>`` (real by Hermiticity) and ``o_P = <l|P|h>`` per axis.
+
+    ``|l>`` and ``|h>`` are the columns of the splitting rotation M(theta, phi).
+    """
+    m = np.array(
+        [[math.cos(theta), -math.sin(theta) * cmath.exp(-1j * phi)],
+         [math.sin(theta) * cmath.exp(1j * phi), math.cos(theta)]])
+    l, h = m[:, 0], m[:, 1]
+    d = {p: float((l.conj() @ PAULI_MATRICES[p] @ l).real) for p in AXES}
+    o = {p: complex(l.conj() @ PAULI_MATRICES[p] @ h) for p in AXES}
     return MediatorCoefficients(theta, phi, d, o)
 
 
@@ -271,8 +261,12 @@ def _model_coefficients(g: MediatorGadget, co: MediatorCoefficients) -> dict:
             c_pq = -oo / g.delta
             for site_p, ax_p, s_p in entries_p:
                 for site_q, ax_q, s_q in entries_q:
-                    phase, factors = multiply_factor_tuples(
-                        ((site_p, ax_p),), ((site_q, ax_q),))
+                    if site_p != site_q:
+                        phase = 1.0 + 0.0j
+                        factors = tuple(sorted(((site_p, ax_p), (site_q, ax_q))))
+                    else:
+                        phase, axis = pauli_product(ax_p, ax_q)
+                        factors = () if axis == "I" else ((site_p, axis),)
                     add(factors, c_pq * phase * s_p * s_q)
     scale = max((abs(c) for c in acc.values()), default=1.0)
     out = {}
@@ -455,33 +449,20 @@ def _solve_angles(axis_pair, target):
     return theta, phi
 
 
-@dataclass(frozen=True)
-class _Cross:
-    """Pending single-Pauli coupling coeff * P_a Q_b awaiting realization."""
-
-    site_a: int
-    axis_a: str
-    site_b: int
-    axis_b: str
-    coefficient: float
-
-
-@dataclass(frozen=True)
-class _TwoAxis:
-    """Pending coeff * (A_a A_b + B_a B_b) awaiting a Heisenberg freezer."""
-
-    site_a: int
-    site_b: int
-    axis_one: str
-    axis_two: str
-    coefficient: float
-
-
 class _Assembler:
-    """Mutable state threaded through one compile call."""
+    """Mutable state threaded through one compile call.
 
-    def __init__(self, num_source_spins):
+    ``layers`` holds the scheduled scales by layer name.  ``prefactor`` is
+    the decompose layer's lambda (1 without that layer), which equals the
+    entangle layer's lambda**2/delta: an entangler's pair factor is its
+    target coupling divided by it.
+    """
+
+    def __init__(self, num_source_spins, layers):
         self.next_spin = num_source_spins
+        self.layers = {rec.name: rec for rec in layers}
+        decompose = self.layers.get(LAYER_DECOMPOSE)
+        self.prefactor = decompose.lam if decompose is not None else 1.0
         self.gadgets = []
         self.heisenberg = []
         self.extra_terms = []   # penalty fields + compensation fields
@@ -520,85 +501,69 @@ class _Assembler:
         self.gadgets.append(g)
 
 
-def _compile_freeze_heisenberg(asm, rec, pending: _TwoAxis):
-    y = asm.alloc()
-    frozen = third_axis(pending.axis_one, pending.axis_two)
+def _mixer(mediator, rec, a, b, target):
+    """Two-slot gadget of strength ``rec.lam`` whose pair factor is ``target``.
+
+    ``a`` and ``b`` are ``(slot_axis, site, system_axis)`` attachments.
+    """
+    theta, phi = _solve_angles((a[0], b[0]), target)
+    slots = {slot: ((site, axis, rec.lam),) for slot, site, axis in (a, b)}
+    return MediatorGadget(mediator, rec.name, theta, phi, rec.lam, rec.delta, slots)
+
+
+def _freeze(asm, layer, site_a, site_b, coefficient, frozen, slot_axes, targets):
+    """Register a freezer realizing ``coefficient * P_a P_b`` for each target P.
+
+    Both sites attach to every slot axis with strengths ``c_a = s`` and
+    ``c_b = -copysign(s, coefficient)``, ``s = sqrt(|coefficient| delta / 2)``;
+    the mediator sits frozen along ``frozen``.  Returns ``(mediator, c_a, c_b)``.
+    """
+    rec = asm.layers[layer]
+    mediator = asm.alloc()
+    s = math.sqrt(abs(coefficient) * rec.delta / 2.0)
+    c_a, c_b = s, -math.copysign(s, coefficient)
+    slots = {axis: ((site_a, axis, c_a), (site_b, axis, c_b)) for axis in slot_axes}
     theta, phi = FROZEN_ANGLES[frozen]
-    h = math.sqrt(abs(pending.coefficient) * rec.delta / 2.0)
-    h_a = h
-    h_b = -math.copysign(h, pending.coefficient)
-    slots = {axis: ((pending.site_a, axis, h_a), (pending.site_b, axis, h_b))
-             for axis in AXES}
-    g = MediatorGadget(y, LAYER_FREEZE_HEIS, theta, phi, rec.lam, rec.delta,
-                       slots, frozen_axis=frozen)
-    intended = [((pending.site_a, axis), (pending.site_b, axis), pending.coefficient)
-                for axis in (pending.axis_one, pending.axis_two)]
-    asm.register(g, intended)
-    asm.heisenberg.append((pending.site_a, y, h_a))
-    asm.heisenberg.append((pending.site_b, y, h_b))
+    g = MediatorGadget(mediator, layer, theta, phi, rec.lam, rec.delta, slots,
+                       frozen_axis=frozen)
+    asm.register(g, [((site_a, axis), (site_b, axis), coefficient) for axis in targets])
+    return mediator, c_a, c_b
 
 
-def _compile_freeze_pair(asm, rec, rec3, pending: _Cross):
-    if pending.axis_a != pending.axis_b:
-        raise HamlowerError("pair freezer input must share one axis")
-    wanted = pending.axis_a
-    partner = NEXT_AXIS[wanted]
-    u = asm.alloc()
-    theta, phi = FROZEN_ANGLES[partner]
-    s = math.sqrt(abs(pending.coefficient) * rec.delta / 2.0)
-    c_a = s
-    c_b = -math.copysign(s, pending.coefficient)
-    slots = {
-        wanted: ((pending.site_a, wanted, c_a), (pending.site_b, wanted, c_b)),
-        partner: ((pending.site_a, partner, c_a), (pending.site_b, partner, c_b)),
-    }
-    g = MediatorGadget(u, LAYER_FREEZE_PAIR, theta, phi, rec.lam, rec.delta,
-                       slots, frozen_axis=partner)
-    intended = [((pending.site_a, wanted), (pending.site_b, wanted),
-                 pending.coefficient)]
-    asm.register(g, intended)
-    for site, strength in ((pending.site_a, c_a), (pending.site_b, c_b)):
-        _compile_freeze_heisenberg(
-            asm, rec3, _TwoAxis(site, u, wanted, partner, strength))
+def _compile_freeze_heisenberg(asm, site_a, site_b, axis_one, axis_two, coefficient):
+    frozen = third_axis(axis_one, axis_two)
+    y, h_a, h_b = _freeze(asm, LAYER_FREEZE_HEIS, site_a, site_b, coefficient, frozen,
+                          AXES, (axis_one, axis_two))
+    asm.heisenberg.extend([(site_a, y, h_a), (site_b, y, h_b)])
 
 
-def _compile_entangle(asm, rec, rec2, rec3, pending: _Cross, prefactor):
-    if pending.axis_a == pending.axis_b:
-        raise HamlowerError("entangler input must mix two axes")
+def _compile_freeze_pair(asm, site_a, site_b, axis, coefficient):
+    partner = NEXT_AXIS[axis]
+    u, c_a, c_b = _freeze(asm, LAYER_FREEZE_PAIR, site_a, site_b, coefficient, partner,
+                          (axis, partner), (axis,))
+    for site, strength in ((site_a, c_a), (site_b, c_b)):
+        _compile_freeze_heisenberg(asm, site, u, axis, partner, strength)
+
+
+def _compile_entangle(asm, site_a, axis_a, site_b, axis_b, coefficient):
     m = asm.alloc()
-    target = pending.coefficient / prefactor
-    theta, phi = _solve_angles((pending.axis_a, pending.axis_b), target)
-    slots = {
-        pending.axis_a: ((pending.site_a, pending.axis_a, rec.lam),),
-        pending.axis_b: ((pending.site_b, pending.axis_b, rec.lam),),
-    }
-    g = MediatorGadget(m, LAYER_ENTANGLE, theta, phi, rec.lam, rec.delta, slots)
-    intended = [((pending.site_a, pending.axis_a),
-                 (pending.site_b, pending.axis_b), pending.coefficient)]
-    asm.register(g, intended)
-    for site, axis in ((pending.site_a, pending.axis_a),
-                       (pending.site_b, pending.axis_b)):
-        _compile_freeze_pair(asm, rec2, rec3,
-                             _Cross(site, axis, m, axis, rec.lam))
+    g = _mixer(m, asm.layers[LAYER_ENTANGLE], (axis_a, site_a, axis_a),
+               (axis_b, site_b, axis_b), coefficient / asm.prefactor)
+    asm.register(g, [((site_a, axis_a), (site_b, axis_b), coefficient)])
+    for site, axis in ((site_a, axis_a), (site_b, axis_b)):
+        _compile_freeze_pair(asm, site, m, axis, g.lam)
 
 
-def _compile_decompose(asm, rec0, rec1, rec2, rec3, term: PauliTerm):
+def _compile_decompose(asm, term: PauliTerm):
     (site_i, axis), (site_j, _) = term.factors
     m0 = asm.alloc()
     slot_i = NEXT_AXIS[axis]
     slot_j = NEXT_AXIS[slot_i]
-    theta, phi = _solve_angles((slot_i, slot_j), term.coefficient)
-    slots = {
-        slot_i: ((site_i, axis, rec0.lam),),
-        slot_j: ((site_j, axis, rec0.lam),),
-    }
-    g = MediatorGadget(m0, LAYER_DECOMPOSE, theta, phi, rec0.lam, rec0.delta, slots)
-    intended = [((site_i, axis), (site_j, axis), term.coefficient)]
-    asm.register(g, intended)
+    g = _mixer(m0, asm.layers[LAYER_DECOMPOSE], (slot_i, site_i, axis),
+               (slot_j, site_j, axis), term.coefficient)
+    asm.register(g, [((site_i, axis), (site_j, axis), term.coefficient)])
     for site, slot_axis in ((site_i, slot_i), (site_j, slot_j)):
-        _compile_entangle(asm, rec1, rec2, rec3,
-                          _Cross(site, axis, m0, slot_axis, rec0.lam),
-                          prefactor=rec0.lam)
+        _compile_entangle(asm, site, axis, m0, slot_axis, g.lam)
 
 
 def compile(source: SpinHamiltonian, precision, *, safety=SAFETY) -> GadgetPlan:
@@ -621,24 +586,14 @@ def compile(source: SpinHamiltonian, precision, *, safety=SAFETY) -> GadgetPlan:
                        (LAYER_FREEZE_PAIR, 2 * n1),
                        (LAYER_FREEZE_HEIS, 4 * n1)])
     layers = schedule_scales(counts, precision, safety=safety)
-    by_name = {rec.name: rec for rec in layers}
-    asm = _Assembler(source.num_spins)
+    asm = _Assembler(source.num_spins, layers)
     asm.offset += constant
-    if couplings:
-        rec1 = by_name[LAYER_ENTANGLE]
-        rec2 = by_name[LAYER_FREEZE_PAIR]
-        rec3 = by_name[LAYER_FREEZE_HEIS]
-        rec0 = by_name.get(LAYER_DECOMPOSE)
-        prefactor = rec0.lam if rec0 is not None else 1.0
-        for t in couplings:
-            (site_i, axis_a), (site_j, axis_b) = t.factors
-            if axis_a == axis_b:
-                _compile_decompose(asm, rec0, rec1, rec2, rec3, t)
-            else:
-                _compile_entangle(asm, rec1, rec2, rec3,
-                                  _Cross(site_i, axis_a, site_j, axis_b,
-                                         t.coefficient),
-                                  prefactor=prefactor)
+    for t in couplings:
+        (site_i, axis_a), (site_j, axis_b) = t.factors
+        if axis_a == axis_b:
+            _compile_decompose(asm, t)
+        else:
+            _compile_entangle(asm, site_i, axis_a, site_j, axis_b, t.coefficient)
     heis_terms = []
     # Each coupling's mediator was allocated after its site, so a < b.
     for a, b, strength in asm.heisenberg:
@@ -750,11 +705,9 @@ def entangler_realization(term: PauliTerm, precision, *, safety=SAFETY) -> Entan
         raise ValidationError("coupling must satisfy |J| <= 1; rescale first")
     (rec,) = schedule_scales([(LAYER_ENTANGLE, 1)], precision, safety=safety)
     (site_i, axis_a), (site_j, axis_b) = term.factors
-    theta, phi = _solve_angles((axis_a, axis_b), term.coefficient)
     m = max(site_i, site_j) + 1
-    slots = {axis_a: ((site_i, axis_a, rec.lam),),
-             axis_b: ((site_j, axis_b, rec.lam),)}
-    g = MediatorGadget(m, LAYER_ENTANGLE, theta, phi, rec.lam, rec.delta, slots)
+    g = _mixer(m, rec, (axis_a, site_i, axis_a), (axis_b, site_j, axis_b),
+               term.coefficient)
     terms, offset = gadget_hamiltonian(g)
     hamiltonian = SpinHamiltonian(m + 1, terms).canonicalize()
     model = gadget_model(g)
@@ -838,20 +791,40 @@ def plan_from_text(text: str) -> GadgetPlan:
             for tok in tokens[7:]:
                 axis, site, sys_axis, strength = tok.split(":")
                 slots.setdefault(axis, []).append((int(site), sys_axis, float(strength)))
-            gadgets.append(MediatorGadget(
+            g = MediatorGadget(
                 int(tokens[0]), tokens[1], float(tokens[3]), float(tokens[4]),
                 float(tokens[5]), float(tokens[6]),
                 {axis: tuple(entries) for axis, entries in slots.items()},
-                frozen_axis=None if tokens[2] == "-" else tokens[2]))
+                frozen_axis=None if tokens[2] == "-" else tokens[2])
         except (ValueError, ValidationError) as exc:
             raise reader.error(f"bad gadget record {line!r}: {exc}") from None
+        if max((g.mediator,) + g.sites()) >= num_spins:
+            raise reader.error(f"gadget record {line!r} names a spin outside "
+                               f"the plan's {num_spins}")
+        gadgets.append(g)
+    # compile lists each Heisenberg freezer's distinct (site, strength) slot
+    # entries, in gadget order, as that freezer's couplings.
+    expected = [entry for g in gadgets if g.layer == LAYER_FREEZE_HEIS
+                for entry in dict.fromkeys((site, g.mediator, strength)
+                                           for entries in g.slots.values()
+                                           for site, _, strength in entries)]
     heisenberg = []
     for line in reader.counted("heisenberg"):
         try:
             a, b, strength = line.split()
-            heisenberg.append((int(a), int(b), float(strength)))
+            record = (int(a), int(b), float(strength))
         except ValueError:
             raise reader.error(f"bad coupling record {line!r}") from None
+        if not (0 <= record[0] < num_spins and 0 <= record[1] < num_spins):
+            raise reader.error(f"coupling record {line!r} names a spin outside "
+                               f"the plan's {num_spins}")
+        if len(heisenberg) >= len(expected) or record != expected[len(heisenberg)]:
+            raise reader.error(f"coupling record {line!r} is not the next "
+                               "freeze-heisenberg slot entry")
+        heisenberg.append(record)
+    if len(heisenberg) != len(expected):
+        raise ParseError(f"heisenberg section lists {len(heisenberg)} couplings; the "
+                         f"freeze-heisenberg gadgets hold {len(expected)}")
     source = _read_spin(reader.section("source"))
     compiled = _read_spin(reader.section("compiled"))
     reader.done()

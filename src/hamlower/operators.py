@@ -92,29 +92,6 @@ def pauli_product(left: str, right: str):
     return _PAULI_PRODUCT[(left, right)]
 
 
-def multiply_factor_tuples(left, right):
-    """Product of two Pauli factor tuples, each ``((site, axis), ...)``.
-
-    Returns ``(phase, factors)`` with factors site-sorted and identity sites
-    dropped.  Inputs must individually be site-sorted and duplicate free.
-    """
-    phase = 1.0 + 0.0j
-    merged = {}
-    for site, axis in left:
-        merged[site] = axis
-    for site, axis in right:
-        if site in merged:
-            p, ax = pauli_product(merged[site], axis)
-            phase *= p
-            if ax == "I":
-                del merged[site]
-            else:
-                merged[site] = ax
-        else:
-            merged[site] = axis
-    return phase, tuple(sorted(merged.items()))
-
-
 @dataclass(frozen=True)
 class PauliTerm:
     """One real-weighted Pauli string, e.g. ``0.5 * X@1 Z@4``.

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamlower.errors import (
@@ -26,16 +26,12 @@ from hamlower import gadgets
 from hamlower.gadgets import (
     FROZEN_ANGLES,
     MediatorGadget,
-    cross_element,
-    dressed_element,
-    dressed_states,
     entangler_realization,
     frozen_cross_residuals,
     gadget_hamiltonian,
     gadget_model,
     mediator_coefficients,
     mediator_effective,
-    mediator_matrix,
     plan_from_text,
     plan_to_text,
     schedule_scales,
@@ -55,7 +51,9 @@ from hamlower.operators import (
     eig_hermitian,
     realize_spin,
     spin_components,
+    spin_from_text,
 )
+from pauli_reference import multiply_factor_tuples
 
 angles = st.floats(min_value=0.0, max_value=math.pi / 2)
 phases = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True)
@@ -67,22 +65,22 @@ def low_eigs(h: SpinHamiltonian, k: int) -> np.ndarray:
 
 class TestDressedAlgebra:
     @given(theta=angles, phi=phases)
+    @example(theta=0.7, phi=1.3)
     @settings(max_examples=40, deadline=None)
-    def test_dressed_states_orthonormal(self, theta, phi):
-        l, h = dressed_states(theta, phi)
-        assert abs(np.vdot(l, l) - 1) < 1e-12
-        assert abs(np.vdot(h, h) - 1) < 1e-12
-        assert abs(np.vdot(l, h)) < 1e-12
+    def test_pauli_maps_low_state_to_unit_vector(self, theta, phi):
+        # P|l> = d_P |l> + conj(o_P) |h> is a unit vector in span{|l>, |h>}
+        # exactly when the splitting rotation is unitary.
+        co = mediator_coefficients(theta, phi)
+        for p in AXES:
+            assert co.d[p] ** 2 + abs(co.o[p]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     @given(theta=angles, phi=phases)
     @settings(max_examples=40, deadline=None)
     def test_dressed_elements_closed_forms(self, theta, phi):
-        assert dressed_element(theta, phi, "X") == pytest.approx(
-            math.sin(2 * theta) * math.cos(phi), abs=1e-12)
-        assert dressed_element(theta, phi, "Y") == pytest.approx(
-            math.sin(2 * theta) * math.sin(phi), abs=1e-12)
-        assert dressed_element(theta, phi, "Z") == pytest.approx(
-            math.cos(2 * theta), abs=1e-12)
+        d = mediator_coefficients(theta, phi).d
+        assert d["X"] == pytest.approx(math.sin(2 * theta) * math.cos(phi), abs=1e-12)
+        assert d["Y"] == pytest.approx(math.sin(2 * theta) * math.sin(phi), abs=1e-12)
+        assert d["Z"] == pytest.approx(math.cos(2 * theta), abs=1e-12)
 
     @given(theta=angles, phi=phases)
     @settings(max_examples=40, deadline=None)
@@ -127,15 +125,13 @@ class TestDressedAlgebra:
 
     @pytest.mark.parametrize("axis", AXES)
     def test_frozen_angles_kill_their_axis(self, axis):
-        theta, phi = FROZEN_ANGLES[axis]
-        assert abs(cross_element(theta, phi, axis)) <= 1e-12
-        assert dressed_element(theta, phi, axis) == pytest.approx(1.0, abs=1e-12)
+        co = mediator_coefficients(*FROZEN_ANGLES[axis])
+        assert abs(co.o[axis]) <= 1e-12
+        assert co.d[axis] == pytest.approx(1.0, abs=1e-12)
         for other in AXES:
             if other != axis:
-                assert abs(cross_element(theta, phi, other)) == pytest.approx(
-                    1.0, abs=1e-12)
-                assert dressed_element(theta, phi, other) == pytest.approx(
-                    0.0, abs=1e-12)
+                assert abs(co.o[other]) == pytest.approx(1.0, abs=1e-12)
+                assert co.d[other] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("axis", AXES)
     def test_frozen_angles_decouple_transverse_pair(self, axis):
@@ -145,10 +141,6 @@ class TestDressedAlgebra:
         co = mediator_coefficients(theta, phi)
         others = [p for p in AXES if p != axis]
         assert abs(co.pair_factor(*others)) <= 1e-12
-
-    def test_mediator_matrix_is_unitary(self):
-        m = mediator_matrix(0.7, 1.3)
-        assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-12
 
 
 def bare_two_slot(theta, phi, eps, delta, axis_a, axis_b):
@@ -246,6 +238,53 @@ class TestFreezerModels:
         dense = low_eigs(SpinHamiltonian(3, terms), 4) + offset
         predicted = eig_hermitian(realize_spin(gadget_model(g))).values
         assert np.abs(dense - predicted).max() < 10 * lam ** 3 / delta ** 2
+
+
+def model_reference(g, co):
+    """The gadget model expanded through the general Pauli-string product."""
+    acc = {}
+
+    def add(factors, coeff):
+        acc[factors] = acc.get(factors, 0.0) + coeff
+
+    for axis, entries in g.slots.items():
+        for site, sys_axis, strength in entries:
+            add(((site, sys_axis),), co.d[axis] * strength)
+    for axis_p, entries_p in g.slots.items():
+        for axis_q, entries_q in g.slots.items():
+            oo = co.o[axis_p] * co.o[axis_q].conjugate()
+            if abs(oo) < 1e-15:
+                continue
+            c_pq = -oo / g.delta
+            for site_p, ax_p, s_p in entries_p:
+                for site_q, ax_q, s_q in entries_q:
+                    phase, factors = multiply_factor_tuples(
+                        ((site_p, ax_p),), ((site_q, ax_q),))
+                    add(factors, c_pq * phase * s_p * s_q)
+    scale = max((abs(c) for c in acc.values()), default=1.0)
+    assert all(abs(c.imag) <= 1e-8 * scale for c in acc.values())
+    return {f: c.real for f, c in acc.items() if abs(c.real) > 1e-14 * scale}
+
+
+class TestModelExpansion:
+    """The gadget model's single-site products against the general product."""
+
+    @pytest.mark.parametrize("source", [
+        "spins 2\n0.5 X@0 Y@1\n",
+        "spins 2\n-0.7 Z@0 Z@1\n",
+        "spins 3\n0.5 X@0 Y@1\n-0.25 Z@1 X@2\n",
+    ], ids=["mixed", "same-axis", "shared-site"])
+    def test_matches_general_product(self, source):
+        plan = gadgets.compile(spin_from_text(source), 0.5)
+        for g in plan.gadgets:
+            co = mediator_coefficients(g.theta, g.phi)
+            got = gadgets._model_coefficients(g, co)
+            want = model_reference(g, co)
+            assert list(got) == list(want)
+            assert all(got[f] == want[f] for f in want)
+        # Freezers attach one site to several slots, so both the same-site
+        # and the two-site products are compared.
+        assert plan.freezing_gadgets()
 
 
 class TestGadgetValidation:
@@ -493,6 +532,22 @@ class TestCompile:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
             "3a54c43a72329ed237475a00c666345e0a79f97bcd033e916407a66ca6f72f2d")
 
+    @pytest.mark.parametrize("source,digest", [
+        ("spins 3\n0.5 X@0 Y@1\n-0.75 Z@1 X@2\n",
+         "24fb561c0fe5b36980cf03439a8c7e46f2f78f180573a1984d876f7fa1b4d025"),
+        ("spins 3\n0.5 Z@0 Z@1\n-0.25 X@1 X@2\n",
+         "212fba581ab8550cae87f42e28a06f5d1e81d560901966ffa9c2c2c24eefd737"),
+        ("spins 3\n0.5 X@0 Y@1\n0.25 Y@0 Z@1\n-0.5 X@1 Z@2\n",
+         "4486679f43a51627d21f7b4ea806d0584f058b7c465271957a5565e8fda2906b"),
+        ("spins 2\n0.3 Z@0\n-0.2 X@1\n0.6 Y@0 Z@1\n1.5\n",
+         "8eb99c4ffbcf504e1071eca17432dd7121a37f7e2a8acefdb3e7cb7635f30b6d"),
+    ], ids=["mixed", "same-axis", "shared-sites", "fields"])
+    def test_plan_bytes_are_pinned(self, source, digest):
+        # Plans must stay byte-identical across releases for the same source;
+        # one source per compile path (mixed, same-axis, shared sites, fields).
+        text = plan_to_text(gadgets.compile(spin_from_text(source), 0.5))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
     def test_one_coefficient_set_per_splitting_angle(self, monkeypatch):
         calls = []
         original = gadgets.mediator_coefficients
@@ -729,6 +784,47 @@ class TestPlanSerialization:
         lines[record] = " ".join(tokens)
         with pytest.raises(ParseError, match=rf"^line {record + 1}: .*slot strength nan"):
             plan_from_text("\n".join(lines) + "\n")
+
+    def test_spins_outside_the_plan_are_rejected(self):
+        lines = plan_to_text(gadgets.compile(single_coupling(0.5), 0.5)).splitlines()
+        assert "spins 9" in lines
+        gadget = next(i for i, line in enumerate(lines) if " entangle - " in line)
+        coupling = lines.index("heisenberg 8") + 2
+        _, rest = lines[gadget].split(" ", 1)
+        a, b, strength = lines[coupling].split()
+        for record, line in [
+                (gadget, f"77 {rest}"),
+                (gadget, lines[gadget].replace("Y:1:Y:", "Y:55:Y:", 1)),
+                (coupling, f"{a} 99 {strength}"),
+                (coupling, f"99 {b} {strength}")]:
+            broken = list(lines)
+            broken[record] = line
+            with pytest.raises(ParseError,
+                               match=rf"^line {record + 1}: .*outside the plan's 9"):
+                plan_from_text("\n".join(broken) + "\n")
+
+    def test_heisenberg_section_must_list_the_freezer_slots(self):
+        lines = plan_to_text(gadgets.compile(single_coupling(0.5), 0.5)).splitlines()
+        header = lines.index("heisenberg 8")
+        first, second = header + 2, header + 3
+        swapped = list(lines)
+        swapped[first], swapped[second] = lines[second], lines[first]
+        with pytest.raises(ParseError, match=rf"^line {first + 1}: .*not the next"):
+            plan_from_text("\n".join(swapped) + "\n")
+        a, b, strength = lines[first].split()
+        flipped = list(lines)
+        flipped[first] = f"{a} {b} {-float(strength)!r}"
+        with pytest.raises(ParseError, match=rf"^line {first + 1}: .*not the next"):
+            plan_from_text("\n".join(flipped) + "\n")
+        last = header + 9
+        short = lines[:header] + ["heisenberg 7"] + lines[header + 1:last] + \
+            lines[last + 1:]
+        with pytest.raises(ParseError, match="lists 7 couplings; .* hold 8"):
+            plan_from_text("\n".join(short) + "\n")
+        extra = lines[:header] + ["heisenberg 9"] + lines[header + 1:first + 1] + \
+            [lines[first]] + lines[first + 1:]
+        with pytest.raises(ParseError, match=rf"^line {first + 2}: .*not the next"):
+            plan_from_text("\n".join(extra) + "\n")
 
     def test_trailing_comments_are_ignored(self):
         plan = gadgets.compile(single_coupling(0.5), 0.5)

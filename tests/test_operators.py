@@ -28,7 +28,6 @@ from hamlower.operators import (
     fermion_to_text,
     jordan_map_spin_to_fermion,
     low_spectrum,
-    multiply_factor_tuples,
     pauli_product,
     realize_fermion,
     realize_spin,
@@ -37,6 +36,7 @@ from hamlower.operators import (
     spin_from_text,
     spin_to_text,
 )
+from pauli_reference import multiply_factor_tuples
 
 
 def kron_realize(h: SpinHamiltonian) -> np.ndarray:
