@@ -65,9 +65,20 @@ def low_eigs(h: SpinHamiltonian, k: int) -> np.ndarray:
 
 class TestDressedAlgebra:
     @given(theta=angles, phi=phases)
+    @settings(max_examples=40, deadline=None)
+    def test_dressed_states_orthonormal(self, theta, phi):
+        # From sum_P P A P = 2 tr(A) I - A: sum_P d_P^2 = <l|l>^2,
+        # sum_P d_P o_P = <l|l><l|h> and
+        # sum_P |o_P|^2 = 2 <l|l><h|h> - |<l|h>|^2.
+        co = mediator_coefficients(theta, phi)
+        assert sum(co.d[p] ** 2 for p in AXES) == pytest.approx(1.0, abs=1e-12)
+        assert abs(sum(co.d[p] * co.o[p] for p in AXES)) < 1e-12
+        assert sum(abs(co.o[p]) ** 2 for p in AXES) == pytest.approx(2.0, abs=1e-12)
+
+    @given(theta=angles, phi=phases)
     @example(theta=0.7, phi=1.3)
     @settings(max_examples=40, deadline=None)
-    def test_pauli_maps_low_state_to_unit_vector(self, theta, phi):
+    def test_mediator_matrix_is_unitary(self, theta, phi):
         # P|l> = d_P |l> + conj(o_P) |h> is a unit vector in span{|l>, |h>}
         # exactly when the splitting rotation is unitary.
         co = mediator_coefficients(theta, phi)
